@@ -19,6 +19,10 @@ Default mode is **warn-only** (exit 0 with warnings printed) because CI
 runs on shared runners; pass ``--strict`` to turn speedup regressions
 into a nonzero exit.  See docs/performance.md for the baseline-refresh
 workflow.
+
+``--only reshard`` / ``--only tenant`` runs just that same-run snapshot
+check, for CI lanes that write that snapshot and not the throughput one;
+there a missing snapshot fails instead of being skipped.
 """
 
 from __future__ import annotations
@@ -52,23 +56,30 @@ def compare(baseline: dict, snapshot: dict, tolerance: float):
             yield family, metric, current, floor, current >= floor
 
 
-def check_reshard(path: str, floor: float = 0.7) -> list[str]:
+def _load_snapshot(path: str, label: str, required: bool):
+    """(snapshot, warnings): a missing file is skipped unless *required*."""
+    try:
+        with open(path) as fh:
+            return json.load(fh), []
+    except OSError:
+        return None, [f"{label} snapshot {path} missing"] if required else []
+    except ValueError as exc:
+        return None, [f"{label} snapshot {path} unreadable: {exc}"]
+
+
+def check_reshard(path: str, floor: float = 0.7, *,
+                  required: bool = False) -> list[str]:
     """Warn-only check of the online-reshard snapshot, if present.
 
     The R3 bench (``bench_r3_reshard.py``) writes steady-state and
     during-migration goodput for identical storms; a migration that
     keeps less than *floor* of steady goodput means background batches
     are stealing foreground capacity.  Missing snapshot = skipped
-    (the bench is optional in most CI lanes).
+    (the bench is optional in most CI lanes) unless *required*.
     """
-    try:
-        with open(path) as fh:
-            snap = json.load(fh)
-    except OSError:
-        return []
-    except ValueError as exc:
-        return [f"reshard snapshot {path} unreadable: {exc}"]
-    warnings = []
+    snap, warnings = _load_snapshot(path, "reshard", required)
+    if snap is None:
+        return warnings
     steady = snap.get("steady", {}).get("goodput")
     migration = snap.get("migration", {}).get("goodput")
     if steady is None or migration is None:
@@ -85,7 +96,8 @@ def check_reshard(path: str, floor: float = 0.7) -> list[str]:
     return warnings
 
 
-def check_tenant(path: str, ratio_ceiling: float = 0.2) -> list[str]:
+def check_tenant(path: str, ratio_ceiling: float = 0.2, *,
+                 required: bool = False) -> list[str]:
     """Warn-only check of the tenant-router snapshot, if present.
 
     The R5 bench (``bench_r5_tenant.py``) records router-vs-flat probe
@@ -99,16 +111,11 @@ def check_tenant(path: str, ratio_ceiling: float = 0.2) -> list[str]:
     * router goodput >= flat goodput under the identical storm.
 
     Same-run ratios on one machine, so shared-runner-safe to enforce
-    strictly.  Missing snapshot = skipped.
+    strictly.  Missing snapshot = skipped, unless *required*.
     """
-    try:
-        with open(path) as fh:
-            snap = json.load(fh)
-    except OSError:
-        return []
-    except ValueError as exc:
-        return [f"tenant snapshot {path} unreadable: {exc}"]
-    warnings = []
+    snap, warnings = _load_snapshot(path, "tenant", required)
+    if snap is None:
+        return warnings
     series = snap.get("series", [])
     if not series:
         return [f"tenant snapshot {path} has no probe series"]
@@ -177,21 +184,37 @@ def main(argv: list[str] | None = None) -> int:
              "(default 0.2 = the router must probe at most a fifth of "
              "what flat fan-out probes)",
     )
+    parser.add_argument(
+        "--only", choices=("reshard", "tenant"),
+        help="run only this snapshot check (a missing snapshot fails "
+             "it) and skip the throughput comparison",
+    )
     args = parser.parse_args(argv)
 
     # Independent of the t4 snapshot, so it runs (and prints) even in CI
     # lanes that never produced the throughput bench.  The goodput gate
     # is a same-run ratio (migration/steady on one machine), so unlike
     # absolute throughput it is shared-runner-safe to enforce strictly.
-    reshard_warnings = check_reshard(args.reshard_snapshot)
     label = "FAIL" if args.strict else "WARN"
+    reshard_warnings = tenant_warnings = []
+    if args.only in (None, "reshard"):
+        reshard_warnings = check_reshard(
+            args.reshard_snapshot, required=args.only == "reshard"
+        )
     for warning in reshard_warnings:
         print(f"perf-gate: {label} (reshard) — {warning}")
-    tenant_warnings = check_tenant(
-        args.tenant_snapshot, args.tenant_ratio_ceiling
-    )
+    if args.only in (None, "tenant"):
+        tenant_warnings = check_tenant(
+            args.tenant_snapshot, args.tenant_ratio_ceiling,
+            required=args.only == "tenant",
+        )
     for warning in tenant_warnings:
         print(f"perf-gate: {label} (tenant) — {warning}")
+    if args.only is not None:
+        failed = len(reshard_warnings) + len(tenant_warnings)
+        print(f"perf-gate: {args.only} checks: "
+              + (f"{failed} failed" if failed else "all passed"))
+        return int(args.strict and failed > 0)
 
     try:
         with open(args.baseline) as fh:

@@ -163,9 +163,21 @@ class FaultInjector:
                 return name
         return None
 
+    def read_roll(self, address: Any) -> Callable[[], bool]:
+        """A zero-argument :meth:`draw_read` for *address*.
+
+        The transient-read rate is resolved once, here; each call of the
+        returned roll draws from the same seeded stream.  Hot loops that
+        read many addresses of one rate (every depth of a tree descent)
+        reuse one roll instead of resolving the rate per read.
+        """
+        rate = self._rate(self.transient_read, address)
+        random_ = self._rng.random
+        return lambda: random_() < rate
+
     def draw_read(self, address: Any) -> bool:
         """Whether this read fails transiently."""
-        return self._rng.random() < self._rate(self.transient_read, address)
+        return self.read_roll(address)()
 
     def flip_payload(self, payload: bytes) -> bytes:
         """Flip one uniformly random bit of *payload*."""

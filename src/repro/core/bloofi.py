@@ -40,6 +40,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.common.bitvector import popcount64
 from repro.core.interfaces import Key
 from repro.filters.bloom import BloomFilter
 
@@ -79,13 +80,15 @@ class BloofiConfig:
 class _Node:
     """One tree node: a leaf (tenant + filter) or an interior OR."""
 
-    __slots__ = ("words", "children", "parent", "tenant", "filter", "n_leaves")
+    __slots__ = ("words", "children", "parent", "tenant", "filter", "n_leaves",
+                 "row", "depth")
 
     def __init__(self, *, tenant=None, filt: BloomFilter | None = None,
                  n_words: int = 0):
         self.parent: _Node | None = None
         self.tenant = tenant
         self.filter = filt
+        self.row = self.depth = -1     # set by BloofiTree._stacked()
         if filt is not None:           # leaf: words alias the filter's bits
             self.words = filt._bits.words
             self.children = None
@@ -136,9 +139,10 @@ class BloofiTree:
         self._leaves: dict[Any, _Node] = {}
         self._removals_since_reor = 0
         self.reor_runs = 0
-        # Cached aggregates (size, height) are recomputed lazily and
-        # invalidated on every child-membership change — never trust a
-        # structural property cached across splits/merges
+        # Cached aggregates (size, height, the stacked node words) are
+        # recomputed lazily and invalidated on every child-membership
+        # change, insert and re-OR — never trust a structural property
+        # cached across splits/merges
         # (the ShardedFilter.supports_deletes lesson, tests/test_tenant.py).
         self._agg_cache: dict[str, Any] = {}
 
@@ -202,7 +206,7 @@ class BloofiTree:
         invalidated on any child-membership change)."""
         cached = self._agg_cache.get("size_in_bits")
         if cached is None:
-            n_interior = sum(1 for _ in self._walk_interior())
+            n_interior = len(self._stacked()) - len(self._leaves)
             cached = (n_interior * self._n_words * 64
                       + sum(leaf.filter.size_in_bits
                             for leaf in self._leaves.values()))
@@ -212,14 +216,19 @@ class BloofiTree:
     def _invalidate_aggregates(self) -> None:
         self._agg_cache.clear()
 
-    def _walk_interior(self):
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            yield node
-            stack.extend(node.children)
+    def _stacked(self) -> np.ndarray:
+        """A cached copy of every node's words, row ``node.row`` (the
+        same walk sets ``node.depth``); any change to node words drops it."""
+        matrix = self._agg_cache.get("stacked")
+        if matrix is None:
+            rows, stack = [], [(self._root, 0)]
+            while stack:
+                node, depth = stack.pop()
+                node.row, node.depth = len(rows), depth
+                rows.append(node.words)
+                stack.extend((c, depth + 1) for c in node.children or ())
+            matrix = self._agg_cache["stacked"] = np.stack(rows)
+        return matrix
 
     # -- maintenance: add / remove / split / merge ------------------------------
 
@@ -374,6 +383,7 @@ class BloofiTree:
         while node is not None:
             np.bitwise_or.at(node.words, widx, masks)
             node = node.parent
+        self._invalidate_aggregates()
 
     def insert_many(self, tenant, keys) -> None:
         """Batch insert: one leaf scatter, then one OR pass per ancestor."""
@@ -388,9 +398,7 @@ class BloofiTree:
         while node is not None:
             node.words |= leaf.words
             node = node.parent
-
-    def _matches(self, node: _Node, widx: np.ndarray, masks: np.ndarray) -> bool:
-        return bool(((node.words[widx] & masks) == masks).all())
+        self._invalidate_aggregates()
 
     def candidates(
         self,
@@ -409,41 +417,46 @@ class BloofiTree:
         absence) — chaos widens the candidate set, never narrows it.
         *on_probe*, if given, is called as ``on_probe(depth)`` after
         each filter actually read — the serving layer's latency hook.
+        One gather over :meth:`_stacked` gives every node's verdict; the
+        walk keeps its fixed LIFO order, so the hooks' (seeded) draws do too.
         """
         result = BloofiLookup()
         if not self._leaves:
             return result
         widx, masks = self._probe_arrays(key)
-        stack = [(self._root, 0)]
+        hits = ((self._stacked()[:, widx] & masks) == masks).all(axis=1).tolist()
+        tenants, by_level = result.tenants, result.probes_by_level
+        probes = 0
+        stack = [self._root]
         while stack:
-            node, depth = stack.pop()
+            node = stack.pop()
+            depth, children = node.depth, node.children
             if fault is not None and fault(
-                "leaf" if node.is_leaf else "node", depth
+                "leaf" if children is None else "node", depth
             ):
-                if node.is_leaf:
-                    result.tenants.append(node.tenant)
+                if children is None:
+                    tenants.append(node.tenant)
                     result.degraded_leaves.append(node.tenant)
                 else:
                     result.degraded_descents += 1
-                    stack.extend((c, depth + 1) for c in node.children)
+                    stack.extend(children)
                 continue
-            result.probes += 1
-            result.probes_by_level[depth] = (
-                result.probes_by_level.get(depth, 0) + 1
-            )
+            probes += 1
+            by_level[depth] = by_level.get(depth, 0) + 1
             if on_probe is not None:
                 on_probe(depth)
-            if not self._matches(node, widx, masks):
+            if not hits[node.row]:
                 continue
-            if node.is_leaf:
-                result.tenants.append(node.tenant)
+            if children is None:
+                tenants.append(node.tenant)
             else:
-                stack.extend((c, depth + 1) for c in node.children)
+                stack.extend(children)
+        result.probes = probes
         return result
 
     def may_contain_any(self, key: Key) -> bool:
-        """True iff some tenant's filter may hold *key* (root probe +
-        descent, no candidate list allocation avoided for simplicity)."""
+        """True iff some tenant's filter may hold *key* (a full
+        descent; the candidate list is built and discarded)."""
         return bool(self.candidates(key).tenants)
 
     def tenant_may_contain(self, tenant, key: Key) -> bool:
@@ -464,23 +477,10 @@ class BloofiTree:
         leaves' OR, so skipping it costs descents, not correctness.
         """
         cleared = 0
-
-        def rebuild(node: _Node) -> np.ndarray:
-            nonlocal cleared
-            if node.is_leaf:
-                return node.words
-            exact = np.zeros(self._n_words, dtype=np.uint64)
-            for child in node.children:
-                exact |= rebuild(child)
-            stale = node.words & ~exact
-            if stale.any():
-                from repro.common.bitvector import popcount64
-
-                cleared += int(popcount64(stale).sum())
+        for node, exact in self._exact_ors():
+            cleared += int(popcount64(node.words & ~exact).sum())
             node.words[:] = exact
-            return exact
-
-        rebuild(self._root)
+        self._invalidate_aggregates()
         self._removals_since_reor = 0
         self.reor_runs += 1
         return cleared
@@ -488,24 +488,23 @@ class BloofiTree:
     def stale_fraction(self) -> float:
         """Fraction of interior set bits not justified by any descendant
         leaf — 0.0 right after :meth:`reor`, grows with lazy removals."""
-        from repro.common.bitvector import popcount64
-
-        total = 0
-        stale = 0
-
-        def walk(node: _Node) -> np.ndarray:
-            nonlocal total, stale
-            if node.is_leaf:
-                return node.words
-            exact = np.zeros(self._n_words, dtype=np.uint64)
-            for child in node.children:
-                exact |= walk(child)
+        total = stale = 0
+        for node, exact in self._exact_ors():
             total += int(popcount64(node.words).sum())
             stale += int(popcount64(node.words & ~exact).sum())
-            return exact
-
-        walk(self._root)
         return stale / total if total else 0.0
+
+    def _exact_ors(self, node: _Node | None = None):
+        """Yield ``(interior node, exact OR of its descendant leaves)``
+        under *node* (default: the root), children before parents."""
+        node = self._root if node is None else node
+        if node.is_leaf:
+            return node.words
+        exact = np.zeros(self._n_words, dtype=np.uint64)
+        for child in node.children:
+            exact |= yield from self._exact_ors(child)
+        yield node, exact
+        return exact
 
     # -- self-audit -------------------------------------------------------------
 

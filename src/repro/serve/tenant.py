@@ -322,9 +322,7 @@ class TenantRouter:
         result.probes_by_level[0] = len(order)
         # One gather across the stacked leaf words: every leaf shares
         # the template geometry, so one position set serves all rows.
-        tree = next(iter(self.trees.values()))
-        pos = tree._template.bit_positions(key)
-        widx, masks = pos >> 6, np.uint64(1) << (pos & 63).astype(np.uint64)
+        widx, masks = next(iter(self.trees.values()))._probe_arrays(key)
         hits = ((matrix[:, widx] & masks) == masks).all(axis=1)
         for i in np.flatnonzero(hits):
             tenant = order[int(i)]
@@ -400,15 +398,6 @@ class TenantStore:
 
     # -- the deadline-aware lookup ----------------------------------------------
 
-    def _charge(self, kind: str, deadline: Deadline | None) -> bool:
-        """Advance the clock by one probe's latency; True if still in
-        budget (or no deadline)."""
-        if self.latency is not None:
-            self.clock.advance(
-                self.latency.draw(self.clock.now(), "probe", (kind,))
-            )
-        return deadline is None or not deadline.expired()
-
     def lookup(
         self,
         key,
@@ -428,8 +417,13 @@ class TenantStore:
         self.lookups += 1
         fault = None
         if self.injector is not None and self.mode == "router":
+            # Depth addresses never scope a rate, so tree reads resolve
+            # theirs once per lookup; "auth" reads (by tenant id) may.
+            roll = self.injector.read_roll
+            tree_rolls = {k: roll((f"tenant_{k}", 0)) for k in ("node", "leaf")}
+
             def fault(kind, detail):
-                return self.injector.draw_read((f"tenant_{kind}", detail))
+                return (tree_rolls.get(kind) or roll((f"tenant_{kind}", detail)))()
 
         look = (
             self.router.query(key, fault=fault) if self.mode == "router"
@@ -452,8 +446,13 @@ class TenantStore:
 
         # Charge simulated time probe by probe; the deadline can expire
         # mid-scan, which in flat mode at fleet scale it routinely does.
+        now, advance = self.clock.now, self.clock.advance
+        draw = self.latency.draw if self.latency is not None else None
+        expired = deadline.expired if deadline is not None else None
         for charged in range(look.probes):
-            if not self._charge("filter", deadline):
+            if draw is not None:
+                advance(draw(now(), "probe", ("filter",)))
+            if expired is not None and expired():
                 return LookupResult(
                     Answer.MAYBE, complete=False, reason="deadline",
                     runs_probed=charged + 1,
@@ -464,7 +463,9 @@ class TenantStore:
         skipped = 0
         for tenant in look.tenants:
             probes += 1
-            if not self._charge("store", deadline):
+            if draw is not None:
+                advance(draw(now(), "probe", ("store",)))
+            if expired is not None and expired():
                 return LookupResult(
                     Answer.MAYBE, complete=False, reason="deadline",
                     runs_probed=probes,

@@ -19,8 +19,10 @@ from repro.apps.lsm import LSMConfig, LSMTree
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.filters.cuckoo import CuckooFilter
 from repro.filters.quotient import QuotientFilter
+from tests.test_tenant import assert_descent_matches_reference
 
-KEYS = st.integers(min_value=0, max_value=400)
+KEYS_MAX = 400
+KEYS = st.integers(min_value=0, max_value=KEYS_MAX)
 
 
 class QuotientFilterMachine(RuleBasedStateMachine):
@@ -142,14 +144,16 @@ class LSMMachine(RuleBasedStateMachine):
 class BloofiMachine(RuleBasedStateMachine):
     """Bloofi tree maintenance vs an exact tenant->keys model.
 
-    Random interleavings of add-tenant / remove-tenant / insert / query
-    / full re-OR, with the two fleet-safety invariants audited after
-    *every* step: a key the model holds is never answered falsely ABSENT
-    (its tenant is always in the candidate set), and every interior OR
-    stays a bitwise superset of its descendant leaves — the property
-    that makes pruning safe.  Splits, merges, root growth/collapse, and
-    lazy-removal staleness all happen along the way; none may bend
-    either invariant.
+    Random interleavings of add-tenant / remove-tenant / insert /
+    insert-many / query / full re-OR, with the two fleet-safety
+    invariants audited after *every* step: a key the model holds is
+    never answered falsely ABSENT (its tenant is always in the candidate
+    set), and every interior OR stays a bitwise superset of its
+    descendant leaves — the property that makes pruning safe.  Splits,
+    merges, root growth/collapse, and lazy-removal staleness all happen
+    along the way; none may bend either invariant.  After every step the
+    descent, which reads cached stacked node words, must also agree with
+    the per-node reference walk, hooks and all.
     """
 
     def __init__(self):
@@ -186,6 +190,14 @@ class BloofiMachine(RuleBasedStateMachine):
         self.tree.insert(tenant, key)
         self.model[tenant].add(key)
 
+    @rule(keys=st.lists(KEYS, max_size=5), data=st.data())
+    def insert_many(self, keys, data):
+        if not self.model:
+            return
+        tenant = data.draw(st.sampled_from(sorted(self.model)))
+        self.tree.insert_many(tenant, keys)
+        self.model[tenant].update(keys)
+
     @rule()
     def reor(self):
         self.tree.reor()
@@ -205,6 +217,14 @@ class BloofiMachine(RuleBasedStateMachine):
         # check_invariants() includes the superset audit at every node,
         # leaf-depth uniformity, fanout bounds, and leaf-count caching.
         assert self.tree.check_invariants() == []
+
+    @invariant()
+    def descent_matches_reference_walk(self):
+        held = set().union(*self.model.values()) if self.model else set()
+        for key in sorted(held | {0, KEYS_MAX}):
+            assert_descent_matches_reference(
+                self.tree, key, fault_seed=key, fault_rate=0.2,
+            )
 
     @invariant()
     def no_false_absent_for_any_model_key(self):

@@ -7,9 +7,13 @@ The contract under test (docs/robustness.md):
   merges, lazy removals, re-ORs, and injected degradation;
 * interior ORs stay supersets of their descendant leaves at all times
   (equality right after a full re-OR);
-* cached aggregate properties (tree size/height, the router's
-  ``supports_deletes``) are recomputed on child membership change —
-  the ``ShardedFilter.supports_deletes`` lesson applied to the tree;
+* cached aggregate properties (tree size/height, the stacked node
+  words, the router's ``supports_deletes``) are recomputed on child
+  membership change — the ``ShardedFilter.supports_deletes`` lesson
+  applied to the tree — and the stacked words also on insert and re-OR;
+* the descent visits nodes, and calls its fault and probe hooks, in the
+  same order as the per-node reference walk below, so seeded storms
+  draw the same fault and latency streams;
 * per-tenant quota buckets shed only the noisy tenant, with reason
   ``"tenant_quota"``;
 * the storm harness (serve-sim ``--tenants``) holds zero false
@@ -22,9 +26,12 @@ import os
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.clock import SimulatedClock
-from repro.core.bloofi import BloofiConfig, BloofiTree
+from repro.common.faults import FaultInjector
+from repro.core.bloofi import BloofiConfig, BloofiLookup, BloofiTree
 from repro.core.interfaces import DynamicFilter
 from repro.obs import use_registry
 from repro.serve import (
@@ -35,6 +42,7 @@ from repro.serve import (
     TenantConfig,
     TenantQuota,
     TenantRouter,
+    TenantStore,
     run_tenant_storm,
 )
 
@@ -54,6 +62,125 @@ def _loaded_tree(n_tenants: int, keys_per_tenant: int = 6, *, config=SMALL_TREE)
         tree.insert_many(t, keys)
         truth[t] = keys
     return tree, truth
+
+
+def reference_candidates(tree, key, *, fault=None, on_probe=None) -> BloofiLookup:
+    """Reference descent: one word gather per visited node, read straight
+    from the node's own words, in the tree's fixed LIFO DFS order.
+
+    ``BloofiTree.candidates`` must return the same :class:`BloofiLookup`
+    and call *fault* and *on_probe* with the same ``(kind, depth)``
+    sequence; any difference would shift a seeded storm's fault and
+    latency draws.
+    """
+    result = BloofiLookup()
+    if not len(tree):
+        return result
+    widx, masks = tree._probe_arrays(key)
+    stack = [(tree._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if fault is not None and fault("leaf" if node.is_leaf else "node", depth):
+            if node.is_leaf:
+                result.tenants.append(node.tenant)
+                result.degraded_leaves.append(node.tenant)
+            else:
+                result.degraded_descents += 1
+                stack.extend((c, depth + 1) for c in node.children)
+            continue
+        result.probes += 1
+        result.probes_by_level[depth] = result.probes_by_level.get(depth, 0) + 1
+        if on_probe is not None:
+            on_probe(depth)
+        if not ((node.words[widx] & masks) == masks).all():
+            continue
+        if node.is_leaf:
+            result.tenants.append(node.tenant)
+        else:
+            stack.extend((c, depth + 1) for c in node.children)
+    return result
+
+
+def _recorded_descent(descend, tree, key, fault_seed: int, fault_rate: float):
+    """Run *descend* with a seeded fault callback; return the lookup and
+    the interleaved ``fault``/``on_probe`` call sequence."""
+    rng = random.Random(fault_seed)
+    calls = []
+
+    def fault(kind, depth):
+        calls.append((kind, depth))
+        return rng.random() < fault_rate
+
+    look = descend(tree, key, fault=fault,
+                   on_probe=lambda depth: calls.append(("probe", depth)))
+    return look, calls
+
+
+def assert_descent_matches_reference(tree, key, fault_seed=0, fault_rate=0.0):
+    clean = tree.candidates(key)
+    assert clean == reference_candidates(tree, key)
+    got = _recorded_descent(BloofiTree.candidates, tree, key, fault_seed, fault_rate)
+    want = _recorded_descent(reference_candidates, tree, key, fault_seed, fault_rate)
+    assert got == want
+
+
+TENANT_IDS = st.integers(min_value=0, max_value=10**6)
+TREE_KEYS = st.integers(min_value=0, max_value=2_000)
+TREE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(TREE_KEYS, max_size=6)),
+        st.tuples(st.just("remove"), TENANT_IDS),
+        st.tuples(st.just("insert"), TENANT_IDS, TREE_KEYS),
+        st.tuples(st.just("insert_many"), TENANT_IDS, st.lists(TREE_KEYS, max_size=6)),
+        st.tuples(st.just("reor")),
+        st.tuples(
+            st.just("query"), st.booleans(), TREE_KEYS, st.integers(0, 2**16),
+            st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestDescentOrder:
+    """The stacked-word descent against the per-node reference walk."""
+
+    @given(n_start=st.integers(0, 40), ops=TREE_OPS)
+    def test_candidates_match_reference_walk(self, n_start, ops):
+        tree, truth = _loaded_tree(n_start, 3, config=BloofiConfig(
+            leaf_capacity=32, epsilon=0.05, seed=5, max_fanout=4,
+            reor_interval=5,
+        ))
+        next_tenant = n_start
+        for op, *args in ops:
+            live = sorted(truth)
+            if op == "add":
+                tree.add_tenant(next_tenant)
+                tree.insert_many(next_tenant, args[0])
+                truth[next_tenant] = list(args[0])
+                next_tenant += 1
+            elif op == "reor":
+                tree.reor()
+            elif op == "query":
+                held, key, fault_seed, rate = args
+                held_keys = sorted(k for keys in truth.values() for k in keys)
+                if held and held_keys:      # a held key descends deepest
+                    key = held_keys[key % len(held_keys)]
+                assert_descent_matches_reference(tree, key, fault_seed, rate)
+            elif live:
+                tenant = live[args[0] % len(live)]
+                if op == "remove":
+                    tree.remove_tenant(tenant)
+                    del truth[tenant]
+                elif op == "insert":
+                    tree.insert(tenant, args[1])
+                    truth[tenant].append(args[1])
+                else:
+                    tree.insert_many(tenant, args[1])
+                    truth[tenant].extend(args[1])
+            for tenant, keys in truth.items():
+                for key in keys:
+                    assert tenant in tree.candidates(key).tenants
 
 
 class TestBloofiTree:
@@ -202,6 +329,65 @@ class TestCachedAggregates:
         assert tree.size_in_bits == before
 
 
+class TestStackedNodeWords:
+    """The descent reads a cached copy of every node's words; each way
+    of changing those words must drop the copy.  A stale copy misses the
+    new bits, which is a false ABSENT."""
+
+    FRESH_KEY = 987_654_321
+
+    def _cached_tree(self, n_tenants=40):
+        tree, truth = _loaded_tree(n_tenants)
+        tree.candidates(self.FRESH_KEY)          # stacks and caches the words
+        return tree, truth
+
+    def test_insert_reaches_the_descent(self):
+        tree, _ = self._cached_tree()
+        tree.insert(7, self.FRESH_KEY)
+        assert 7 in tree.candidates(self.FRESH_KEY).tenants
+        assert_descent_matches_reference(tree, self.FRESH_KEY)
+
+    def test_insert_many_reaches_the_descent(self):
+        tree, _ = self._cached_tree()
+        tree.insert_many(11, [self.FRESH_KEY, self.FRESH_KEY + 1])
+        for key in (self.FRESH_KEY, self.FRESH_KEY + 1):
+            assert 11 in tree.candidates(key).tenants
+            assert_descent_matches_reference(tree, key)
+
+    def test_reor_reaches_the_descent(self):
+        tree, truth = self._cached_tree(64)
+        for t in range(40):
+            tree.remove_tenant(t)
+            del truth[t]
+        probe_keys = [t * 1000 + i for t in range(40) for i in range(6)]
+        for key in probe_keys:
+            tree.candidates(key)
+        assert tree.reor() > 0
+        # The re-OR cleared stale bits: a cached copy would keep the old
+        # descents, the reference walk would not.
+        for key in probe_keys:
+            assert_descent_matches_reference(tree, key)
+
+    def test_split_and_merge_reach_the_descent(self):
+        tree = BloofiTree(SMALL_TREE)
+        tree.add_tenant(0)
+        tree.candidates(self.FRESH_KEY)
+        for t in range(1, 40):                  # splits grow the root
+            preloaded = tree.make_leaf_filter()
+            preloaded.insert(self.FRESH_KEY + t)
+            tree.add_tenant(t, preloaded)
+            assert t in tree.candidates(self.FRESH_KEY + t).tenants
+        assert tree.height >= 2
+        for t in range(1, 36):                  # merges shrink it again
+            tree.remove_tenant(t)
+            for survivor in range(36, 40):
+                key = self.FRESH_KEY + survivor
+                assert survivor in tree.candidates(key).tenants
+                assert_descent_matches_reference(tree, key, fault_seed=t,
+                                                 fault_rate=0.3)
+        assert tree.check_invariants() == []
+
+
 class _ShrinkingAuth(DynamicFilter):
     """Authoritative filter that loses delete support as it grows —
     the same shape as test_differential._ShrinkingShard."""
@@ -290,6 +476,34 @@ class TestTenantRouter:
         for t in range(64):
             router.add_tenant(t)
         assert all(len(tree) > 0 for tree in router.trees.values())
+
+
+class TestLookupFaultRates:
+    """``TenantStore.lookup`` resolves tree-read fault rates once per
+    lookup; per-tenant scoped rates must still reach each tenant."""
+
+    def test_scoped_rates_resolve_per_string_tenant(self):
+        router = TenantRouter(TenantConfig(n_trees=2, seed=3))
+        injector = FaultInjector(seed=1, transient_read={
+            "tenant_auth@noisy": 1.0, "tenant_node": 1.0, "*": 0.0,
+        })
+        store = TenantStore(router, SimulatedClock(), injector=injector)
+        for t, base in (("noisy", 0), ("quiet", 100), (7, 200)):
+            store.add_tenant(t, range(base, base + 4))
+        seen = {}
+        query = router.query
+
+        def spy(key, *, fault=None):
+            seen["fault"] = fault
+            return query(key, fault=fault)
+
+        router.query = spy
+        store.lookup(0)
+        fault = seen["fault"]
+        assert fault("auth", "noisy") and not fault("auth", "quiet")
+        assert not fault("auth", 7)         # an int id takes the class rate
+        assert all(fault("node", depth) for depth in range(4))
+        assert not any(fault("leaf", depth) for depth in range(4))
 
 
 class TestTenantQuota:
