@@ -27,7 +27,7 @@ from repro.apps.lsm import LSMConfig, LSMTree
 from repro.cache import BlockCache, CachedDevice
 from repro.common.storage import BlockDevice
 from repro.obs import use_registry
-from repro.serve import StormPhase, build_stack, run_storm
+from repro.serve import StormPhase, Traffic, build_stack, run_storm
 from repro.workloads import zipf_queries
 
 from _util import print_table
@@ -165,7 +165,7 @@ def test_p2_served_tail_vs_cache_size():
                 cache_mb=cache_mb, cache_policy="tinylfu",
                 negative_cache_entries=4096,
             )
-            report = run_storm(served, phases, seed=SEED, n_keys=n_keys)
+            report = run_storm(served, phases, Traffic(SEED, n_keys))
         assert report.false_negatives == 0  # safety is cache-independent
         cache = getattr(tree.device, "cache", None)
         hit_rate = cache.stats.hit_rate if cache is not None else 0.0

@@ -21,7 +21,13 @@ from __future__ import annotations
 import os
 
 from repro.obs import use_registry
-from repro.serve import ServeOutcome, StormPhase, build_stack, run_storm
+from repro.serve import (
+    ServeOutcome,
+    StormPhase,
+    Traffic,
+    build_stack,
+    run_storm,
+)
 
 from _util import print_table
 
@@ -52,7 +58,7 @@ def test_r2_goodput_degrades_gracefully():
         with use_registry():
             served, *_rest = build_stack(seed=SEED, n_keys=N_KEYS)
             report = run_storm(served, _storm_at(rate),
-                               seed=SEED, n_keys=N_KEYS)
+                               Traffic(SEED, N_KEYS))
         # Safety is absolute at every fault rate, not a trend.
         assert report.false_negatives == 0
         calm, storm, recovery = report.phases

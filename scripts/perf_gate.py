@@ -21,8 +21,9 @@ into a nonzero exit.  See docs/performance.md for the baseline-refresh
 workflow.
 
 ``--only reshard`` / ``--only tenant`` runs just that same-run snapshot
-check, for CI lanes that write that snapshot and not the throughput one;
-there a missing snapshot fails instead of being skipped.
+check instead, for the CI lane that has just written that snapshot; a
+missing snapshot always fails.  Each check runs only under its
+``--only``, so no job gates on a snapshot it did not produce.
 """
 
 from __future__ import annotations
@@ -56,34 +57,30 @@ def compare(baseline: dict, snapshot: dict, tolerance: float):
             yield family, metric, current, floor, current >= floor
 
 
-def _load_snapshot(path: str, label: str, required: bool):
-    """(snapshot, warnings): a missing file is skipped unless *required*."""
+def _load_snapshot(path: str, label: str):
+    """The snapshot, or None with the reason it could not be read."""
     try:
         with open(path) as fh:
-            return json.load(fh), []
+            return json.load(fh), None
     except OSError:
-        return None, [f"{label} snapshot {path} missing"] if required else []
+        return None, f"{label} snapshot {path} missing"
     except ValueError as exc:
-        return None, [f"{label} snapshot {path} unreadable: {exc}"]
+        return None, f"{label} snapshot {path} unreadable: {exc}"
 
 
-def check_reshard(path: str, floor: float = 0.7, *,
-                  required: bool = False) -> list[str]:
-    """Warn-only check of the online-reshard snapshot, if present.
+def check_reshard(snap: dict, floor: float = 0.7) -> list[str]:
+    """Check the online-reshard snapshot.
 
     The R3 bench (``bench_r3_reshard.py``) writes steady-state and
     during-migration goodput for identical storms; a migration that
     keeps less than *floor* of steady goodput means background batches
-    are stealing foreground capacity.  Missing snapshot = skipped
-    (the bench is optional in most CI lanes) unless *required*.
+    are stealing foreground capacity.
     """
-    snap, warnings = _load_snapshot(path, "reshard", required)
-    if snap is None:
-        return warnings
+    warnings = []
     steady = snap.get("steady", {}).get("goodput")
     migration = snap.get("migration", {}).get("goodput")
     if steady is None or migration is None:
-        return [f"reshard snapshot {path} missing goodput fields"]
+        return ["reshard snapshot missing goodput fields"]
     print(f"perf-gate: reshard goodput steady {steady:.3f} -> "
           f"migration {migration:.3f} (floor {floor:.0%} of steady)")
     if migration < floor * steady:
@@ -96,9 +93,8 @@ def check_reshard(path: str, floor: float = 0.7, *,
     return warnings
 
 
-def check_tenant(path: str, ratio_ceiling: float = 0.2, *,
-                 required: bool = False) -> list[str]:
-    """Warn-only check of the tenant-router snapshot, if present.
+def check_tenant(snap: dict, ratio_ceiling: float = 0.2) -> list[str]:
+    """Check the tenant-router snapshot.
 
     The R5 bench (``bench_r5_tenant.py``) records router-vs-flat probe
     counts per fleet size plus a same-storm goodput comparison.  Gates:
@@ -111,14 +107,12 @@ def check_tenant(path: str, ratio_ceiling: float = 0.2, *,
     * router goodput >= flat goodput under the identical storm.
 
     Same-run ratios on one machine, so shared-runner-safe to enforce
-    strictly.  Missing snapshot = skipped, unless *required*.
+    strictly.
     """
-    snap, warnings = _load_snapshot(path, "tenant", required)
-    if snap is None:
-        return warnings
+    warnings = []
     series = snap.get("series", [])
     if not series:
-        return [f"tenant snapshot {path} has no probe series"]
+        return ["tenant snapshot has no probe series"]
     for row in series:
         n = row.get("n_tenants", 0)
         ratio = row.get("ratio")
@@ -163,20 +157,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="exit nonzero on speedup regressions and reshard goodput "
+        help="exit nonzero on speedup regressions and --only check "
              "warnings (default: warn only)",
     )
     parser.add_argument(
         "--reshard-snapshot", default=DEFAULT_RESHARD,
-        help="bench_r3_reshard.py snapshot; goodput checks warn by "
-             "default (fail under --strict) and are skipped when the "
-             "file is absent",
+        help="bench_r3_reshard.py snapshot read by --only reshard",
     )
     parser.add_argument(
         "--tenant-snapshot", default=DEFAULT_TENANT,
-        help="bench_r5_tenant.py snapshot; probe-ratio and goodput "
-             "checks warn by default (fail under --strict) and are "
-             "skipped when the file is absent",
+        help="bench_r5_tenant.py snapshot read by --only tenant",
     )
     parser.add_argument(
         "--tenant-ratio-ceiling", type=float, default=0.2,
@@ -186,35 +176,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--only", choices=("reshard", "tenant"),
-        help="run only this snapshot check (a missing snapshot fails "
-             "it) and skip the throughput comparison",
+        help="run only this same-run snapshot check (a missing snapshot "
+             "fails it) instead of the throughput comparison",
     )
     args = parser.parse_args(argv)
 
-    # Independent of the t4 snapshot, so it runs (and prints) even in CI
-    # lanes that never produced the throughput bench.  The goodput gate
-    # is a same-run ratio (migration/steady on one machine), so unlike
-    # absolute throughput it is shared-runner-safe to enforce strictly.
-    label = "FAIL" if args.strict else "WARN"
-    reshard_warnings = tenant_warnings = []
-    if args.only in (None, "reshard"):
-        reshard_warnings = check_reshard(
-            args.reshard_snapshot, required=args.only == "reshard"
-        )
-    for warning in reshard_warnings:
-        print(f"perf-gate: {label} (reshard) — {warning}")
-    if args.only in (None, "tenant"):
-        tenant_warnings = check_tenant(
-            args.tenant_snapshot, args.tenant_ratio_ceiling,
-            required=args.only == "tenant",
-        )
-    for warning in tenant_warnings:
-        print(f"perf-gate: {label} (tenant) — {warning}")
     if args.only is not None:
-        failed = len(reshard_warnings) + len(tenant_warnings)
+        # Same-run ratios (migration/steady, router/flat on one machine),
+        # so unlike absolute throughput they are shared-runner-safe to
+        # enforce strictly.
+        snap, error = _load_snapshot(
+            getattr(args, f"{args.only}_snapshot"), args.only
+        )
+        if snap is None:
+            print(f"perf-gate: FAIL ({args.only}) — {error}")
+            return 1
+        if args.only == "reshard":
+            warnings = check_reshard(snap)
+        else:
+            warnings = check_tenant(snap, args.tenant_ratio_ceiling)
+        label = "FAIL" if args.strict else "WARN"
+        for warning in warnings:
+            print(f"perf-gate: {label} ({args.only}) — {warning}")
         print(f"perf-gate: {args.only} checks: "
-              + (f"{failed} failed" if failed else "all passed"))
-        return int(args.strict and failed > 0)
+              + (f"{len(warnings)} failed" if warnings else "all passed"))
+        return int(args.strict and bool(warnings))
 
     try:
         with open(args.baseline) as fh:
@@ -255,14 +241,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perf-gate: WARN (shared-runner mode, not failing) — {names}")
     else:
         print("perf-gate: all families within tolerance")
-    if args.strict and reshard_warnings:
-        print(f"perf-gate: FAIL — {len(reshard_warnings)} reshard goodput "
-              "check(s) failed")
-        return 1
-    if args.strict and tenant_warnings:
-        print(f"perf-gate: FAIL — {len(tenant_warnings)} tenant router "
-              "check(s) failed")
-        return 1
     return 0
 
 

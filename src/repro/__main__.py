@@ -58,6 +58,7 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
 from __future__ import annotations
 
 import argparse
+import json
 
 
 def _cmd_list(_args) -> int:
@@ -227,10 +228,35 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _print_phases(storm, title: str) -> None:
+    """The per-phase outcome table every serve-sim topology prints."""
+    from repro.serve import ServeOutcome
+
+    header = (f"{'phase':10s} {'requests':>8s} "
+              + "".join(f"{o.value:>10s}" for o in ServeOutcome)
+              + f" {'p99 (ms)':>9s}")
+    print(title)
+    print(header)
+    print("-" * len(header))
+    for p in storm.phases:
+        print(f"{p.name:10s} {p.n_requests:8d} "
+              + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
+              + f" {1e3 * p.latency_quantile(0.99):9.2f}")
+    print(f"\ngoodput (served/total): {storm.goodput():.3f}")
+    print(f"false negatives: {storm.false_negatives} (must be 0)")
+
+
+def _write_journal(args, what: str, doc: dict) -> None:
+    """``--journal-out``: *doc* plus the seed, as sorted JSON."""
+    with open(args.journal_out, "w") as fh:
+        json.dump({**doc, "seed": args.seed}, fh, indent=2, sort_keys=True)
+    print(f"\n{what} written to {args.journal_out}")
+
+
 def _cmd_serve_sim(args) -> int:
     from repro import obs
     from repro.serve import (
-        BreakerState, ServeOutcome, StormPhase, build_stack, run_storm,
+        BreakerState, StormPhase, Traffic, build_stack, run_storm,
     )
 
     n = args.n_requests
@@ -253,20 +279,10 @@ def _cmd_serve_sim(args) -> int:
             cache_mb=args.cache_mb, cache_policy=args.cache_policy,
             negative_cache_entries=args.negative_cache,
         )
-        report = run_storm(served, phases, seed=args.seed, n_keys=args.n_keys)
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"storm schedule: {n} requests, fault rate {args.fault_rate}, "
-              f"budget {args.budget_ms:.1f} ms, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in report.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {report.goodput():.3f}")
-        print(f"false negatives: {report.false_negatives} (must be 0)")
+        report = run_storm(served, phases, Traffic(args.seed, args.n_keys))
+        _print_phases(report, f"storm schedule: {n} requests, fault rate "
+                      f"{args.fault_rate}, budget {args.budget_ms:.1f} ms, "
+                      f"seed {args.seed}")
         print(f"breaker transitions: {report.breaker_opens} opened, "
               f"{report.breaker_closes} closed "
               f"({len(served.breaker_device.open_breakers())} not yet recovered)")
@@ -293,10 +309,8 @@ def _serve_sim_sharded(args, phases) -> int:
     failed to reach DONE — the two invariants the reshard chaos CI job
     gates on.
     """
-    import json
-
     from repro import obs
-    from repro.serve import ServeOutcome, run_reshard_storm
+    from repro.serve import run_reshard_storm
 
     with obs.use_registry():
         storm, reshard, coordinator = run_reshard_storm(
@@ -309,19 +323,9 @@ def _serve_sim_sharded(args, phases) -> int:
             crash_at_step=args.crash_at_step,
             budget=args.budget_ms / 1000.0,
         )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"sharded storm: {storm.n_requests} requests over {args.shards} "
-              f"shards, fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
+        _print_phases(storm, f"sharded storm: {storm.n_requests} requests over "
+                      f"{args.shards} shards, fault rate {args.fault_rate}, "
+                      f"seed {args.seed}")
         if args.reshard_at > 0:
             print(f"\nmigration ({args.reshard_kind} at request "
                   f"{args.reshard_at}"
@@ -343,15 +347,11 @@ def _serve_sim_sharded(args, phases) -> int:
             print(f"  routing epoch: {reshard.final_epoch}, shards: "
                   f"{list(reshard.final_shards)}")
         if args.journal_out:
-            doc = {
+            _write_journal(args, "migration journal", {
                 "journal": coordinator.journal_records(),
                 "report": reshard.as_dict(),
-                "seed": args.seed,
                 "crash_at_step": args.crash_at_step,
-            }
-            with open(args.journal_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            print(f"\nmigration journal written to {args.journal_out}")
+            })
     ok = storm.false_negatives == 0 and (
         args.reshard_at <= 0 or reshard.completed
     )
@@ -365,10 +365,8 @@ def _serve_sim_replicated(args, phases) -> int:
     or leftover handoff backlog — the invariants the replica-chaos CI
     job gates on.
     """
-    import json
-
     from repro import obs
-    from repro.serve import ServeOutcome, run_replica_storm
+    from repro.serve import run_replica_storm
 
     with obs.use_registry():
         storm, rep, store, repairer = run_replica_storm(
@@ -384,21 +382,10 @@ def _serve_sim_replicated(args, phases) -> int:
             write_fraction=0.05,
             budget=args.budget_ms / 1000.0,
         )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"replicated storm: {storm.n_requests} requests over "
-              f"{args.replicas} replicas (R={store.replication}, "
-              f"read quorum {store.read_quorum}), "
-              f"fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
+        _print_phases(storm, f"replicated storm: {storm.n_requests} requests "
+                      f"over {args.replicas} replicas (R={store.replication}, "
+                      f"read quorum {store.read_quorum}), "
+                      f"fault rate {args.fault_rate}, seed {args.seed}")
         if args.kill_replica_at > 0:
             print(f"\nreplica lifecycle (kill at request "
                   f"{args.kill_replica_at}"
@@ -418,15 +405,11 @@ def _serve_sim_replicated(args, phases) -> int:
               f"checked, {rep.repair_sheds} pumps shed")
         print(f"digests converged: {rep.converged} (must be true)")
         if args.journal_out:
-            doc = {
+            _write_journal(args, "replica report", {
                 "report": rep.as_dict(),
-                "seed": args.seed,
                 "replicas": args.replicas,
                 "crash_at_step": args.crash_at_step,
-            }
-            with open(args.journal_out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-            print(f"\nreplica report written to {args.journal_out}")
+            })
     ok = (storm.false_negatives == 0 and rep.converged
           and rep.backlog == 0 and rep.hints_dropped == 0)
     return 0 if ok else 1
@@ -440,7 +423,7 @@ def _serve_sim_tenant(args, phases) -> int:
     conditions the tenant-chaos CI job gates on.
     """
     from repro import obs
-    from repro.serve import ServeOutcome, TenantQuota, run_tenant_storm
+    from repro.serve import TenantQuota, run_tenant_storm
 
     quota = (
         TenantQuota(rate=args.tenant_quota, burst=max(1.0, args.tenant_quota / 10))
@@ -458,21 +441,11 @@ def _serve_sim_tenant(args, phases) -> int:
             quota=quota,
             budget=args.budget_ms / 1000.0,
         )
-        header = (f"{'phase':10s} {'requests':>8s} "
-                  + "".join(f"{o.value:>10s}" for o in ServeOutcome)
-                  + f" {'p99 (ms)':>9s}")
-        print(f"tenant storm: {storm.n_requests} requests over "
-              f"{rep.n_tenants_start} tenants ({args.tenant_trees} trees, "
-              f"mode {args.tenant_mode}, zipf {args.tenant_zipf}), "
-              f"fault rate {args.fault_rate}, seed {args.seed}")
-        print(header)
-        print("-" * len(header))
-        for p in storm.phases:
-            print(f"{p.name:10s} {p.n_requests:8d} "
-                  + "".join(f"{p.outcomes[o]:10d}" for o in ServeOutcome)
-                  + f" {1e3 * p.latency_quantile(0.99):9.2f}")
-        print(f"\ngoodput (served/total): {storm.goodput():.3f}")
-        print(f"false negatives: {storm.false_negatives} (must be 0)")
+        _print_phases(storm, f"tenant storm: {storm.n_requests} requests over "
+                      f"{rep.n_tenants_start} tenants ({args.tenant_trees} "
+                      f"trees, mode {args.tenant_mode}, zipf "
+                      f"{args.tenant_zipf}), fault rate {args.fault_rate}, "
+                      f"seed {args.seed}")
         print(f"mean probes per lookup: {rep.mean_probes:.1f} "
               f"(flat fan-out would be >= {rep.n_tenants_final})")
         print(f"fleet: {rep.n_tenants_final} tenants, max tree height "

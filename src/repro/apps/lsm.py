@@ -256,8 +256,48 @@ class ScrubReport:
     unreadable: list = field(default_factory=list)
 
 
+# -- double-buffered JSON manifests (slots 0 and 1 under one address name) --------
+
+
+def write_manifest(device, name: str, version: int, payload: bytes) -> None:
+    """Write *payload* (a framed JSON doc carrying ``"version"``) into slot
+    ``version % 2`` and read it back; a lost or torn write is retried."""
+    address = (name, version % 2)
+    last_error: Exception | None = None
+    for _attempt in range(4):
+        device.write(address, payload, size=len(payload))
+        try:
+            if json.loads(unframe(device.read(address)).decode())["version"] == version:
+                return
+        except (TransientIOError, ChecksumError, ValueError, KeyError) as e:
+            last_error = e
+    raise TransientIOError(
+        f"{name} manifest write could not be verified: {last_error}"
+    )
+
+
+def load_manifest(device, name: str, key: str = "version") -> dict | None:
+    """The newest valid manifest across both slots (highest *key* wins)."""
+    retry = RetryPolicy(max_attempts=4)
+    best = None
+    for slot in (0, 1):
+        address = (name, slot)
+        if not device.exists(address):
+            continue
+        try:
+            doc = json.loads(unframe(retry.call(device.read, address)).decode())
+        except (TransientIOError, ChecksumError, ValueError, KeyError):
+            continue
+        if best is None or doc[key] > best[key]:
+            best = doc
+    return best
+
+
 class LSMTree:
     """Filtered LSM-tree over a simulated (possibly faulty) block device."""
+
+    # Fault classes a storm's read-fault rate applies to (run_storm).
+    FAULT_CLASSES = ("run", "page", "filter")
 
     def __init__(self, config: LSMConfig | None = None, device: Any = None):
         self.config = config or LSMConfig()
@@ -941,7 +981,7 @@ class LSMTree:
         """
         report = RecoveryReport()
         before = device.stats.snapshot()
-        manifest = cls._load_manifest(device, report)
+        manifest = load_manifest(device, "manifest", "epoch")
         if config is None:
             raw = (manifest or {}).get("config")
             config = LSMConfig.from_manifest(raw) if raw else LSMConfig()
@@ -963,24 +1003,6 @@ class LSMTree:
         tree._replay_wal(wal_floor, report)
         report.io = device.stats - before
         return tree
-
-    @staticmethod
-    def _load_manifest(device, report: RecoveryReport) -> dict | None:
-        """Best valid manifest across both slots (highest epoch wins)."""
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("manifest", slot)
-            if not device.exists(address):
-                continue
-            try:
-                raw = retry.call(device.read, address)
-                manifest = json.loads(unframe(raw).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or manifest["epoch"] > best["epoch"]:
-                best = manifest
-        return best
 
     def _scan_run_specs(self) -> list:
         """Manifest lost: enumerate run blocks straight off the device."""

@@ -10,7 +10,7 @@ Two frame versions exist:
 * ``BBF1`` (legacy, read-only): magic + body, where body is a small struct
   header plus the raw packed words.  No integrity protection — a flipped
   bit silently decodes into a different filter.
-* ``BBF2`` (current, default for :func:`dumps`)::
+* ``BBF2`` (current, the only one :func:`dumps` writes)::
 
       b"BBF2" | uint32 body_len | uint32 crc32(body) | body
 
@@ -124,18 +124,9 @@ def _dumps_body(filt) -> bytes:
     raise TypeError(f"serialization not supported for {type(filt).__name__}")
 
 
-def dumps(filt, version: int = 2) -> bytes:
-    """Serialize a supported filter to bytes.
-
-    *version* 2 (default) writes a checksummed ``BBF2`` frame; version 1
-    writes the legacy unprotected ``BBF1`` layout.
-    """
-    body = _dumps_body(filt)
-    if version == 2:
-        return _MAGIC_V2 + frame(body)
-    if version == 1:
-        return _MAGIC_V1 + body
-    raise ValueError(f"unsupported serialization version {version!r}")
+def dumps(filt) -> bytes:
+    """Serialize a supported filter to a checksummed ``BBF2`` frame."""
+    return _MAGIC_V2 + frame(_dumps_body(filt))
 
 
 # -- decode ----------------------------------------------------------------------

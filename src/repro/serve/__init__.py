@@ -28,6 +28,7 @@ from repro.serve.sim import (
     PhaseReport,
     StormPhase,
     StormReport,
+    Traffic,
     build_stack,
     run_storm,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "PhaseReport",
     "StormPhase",
     "StormReport",
+    "Traffic",
     "build_stack",
     "run_storm",
     "MigrationState",

@@ -54,12 +54,11 @@ reverse.
 from __future__ import annotations
 
 import json
-import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.apps.lsm import LSMConfig, LSMTree
+from repro.apps.lsm import LSMConfig, LSMTree, load_manifest, write_manifest
 from repro.common.clock import (
     Answer,
     Deadline,
@@ -70,10 +69,7 @@ from repro.common.clock import (
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
     RetryPolicy,
-    SimulatedCrash,
     TransientIOError,
 )
 from repro.common.hashing import hash_to_range
@@ -84,7 +80,14 @@ from repro.core.serialize import frame, unframe
 from repro.obs.metrics import default_registry
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.breaker import BreakerDevice
-from repro.serve.served import ServedFilter
+from repro.serve.sim import (
+    CALM_STORM_RECOVERY,
+    BackgroundDriver,
+    Traffic,
+    _serving_rig,
+    _tree_retry,
+    run_storm,
+)
 
 _META_NS = "replmeta"
 _HANDOFF_NS = "handoff"
@@ -208,6 +211,8 @@ class ReplicatedStore:
     or a :class:`~repro.serve.reshard.ShardedStore`.
     """
 
+    FAULT_CLASSES = LSMTree.FAULT_CLASSES
+
     def __init__(
         self,
         device: Any,
@@ -262,14 +267,7 @@ class ReplicatedStore:
         return NamespacedDevice(self.device, f"r{node_id}")
 
     def _node_retry(self, node_id: int) -> RetryPolicy:
-        return RetryPolicy(
-            max_attempts=self.config.retry_attempts,
-            jitter="decorrelated",
-            base_backoff=0.0005,
-            max_backoff=0.01,
-            seed=self.seed ^ (0x4E0D + node_id),
-            clock=self.clock,
-        )
+        return _tree_retry(self.config, self.seed ^ (0x4E0D + node_id), self.clock)
 
     def _open_node(self, node_id: int, *, recover: bool = False) -> ReplicaNode:
         ns = self._node_device(node_id)
@@ -310,37 +308,9 @@ class ReplicatedStore:
 
     def _write_state_manifest(self) -> None:
         self._state_version += 1
-        slot = self._state_version % 2
-        payload = self._state_payload()
-        last_error: Exception | None = None
-        for _attempt in range(4):
-            self._meta.write(("nodestate", slot), payload, size=len(payload))
-            try:
-                raw = self._meta.read(("nodestate", slot))
-                if json.loads(unframe(raw).decode())["version"] == \
-                        self._state_version:
-                    return
-            except (TransientIOError, ChecksumError, ValueError, KeyError) as e:
-                last_error = e
-        raise TransientIOError(
-            f"node-state manifest write could not be verified: {last_error}"
+        write_manifest(
+            self._meta, "nodestate", self._state_version, self._state_payload()
         )
-
-    @staticmethod
-    def load_state_manifest(meta: Any) -> dict | None:
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("nodestate", slot)
-            if not meta.exists(address):
-                continue
-            try:
-                doc = json.loads(unframe(retry.call(meta.read, address)).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or doc["version"] > best["version"]:
-                best = doc
-        return best
 
     @classmethod
     def recover(
@@ -362,7 +332,7 @@ class ReplicatedStore:
         hint — so post-crash writes keep winning max-seq resolution.
         """
         meta = NamespacedDevice(device, _META_NS)
-        manifest = cls.load_state_manifest(meta)
+        manifest = load_manifest(meta, "nodestate")
         if manifest is None:
             raise RuntimeError("no valid node-state manifest; cannot recover")
         if config is None:
@@ -1137,7 +1107,7 @@ def build_replicated_stack(
     admission_config: AdmissionConfig | None = None,
     lsm_config: LSMConfig | None = None,
 ):
-    """The replicated sibling of :func:`repro.serve.sim.build_stack`.
+    """A replicated fleet on the stack rig :func:`repro.serve.sim.build_stack` uses.
 
     One clock, one fault/latency injector pair, one faulty device, and
     one breaker bank are shared by every replica (each node's tree sees
@@ -1145,40 +1115,28 @@ def build_replicated_stack(
     fault rates like ``{"run@r1": 0.5}`` target one replica).  Returns
     ``(served, store, repairer, device, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
+
+    def build(clock, injector, _latency, breaker_device):
+        return ReplicatedStore(
+            breaker_device,
+            n_nodes=n_nodes,
+            replication=replication,
+            read_quorum=read_quorum,
+            config=lsm_config,
+            clock=clock,
+            detector=FailureDetector(clock),
+            injector=injector,
+            seed=seed,
+        )
+
+    served, device, injector, latency, clock = _serving_rig(
+        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
+        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
     )
-    config = lsm_config if lsm_config is not None else LSMConfig(
-        memtable_entries=48, retry_attempts=3, seed=seed
+    repairer = AntiEntropyRepairer(
+        served.backend, admission=served.admission, injector=injector
     )
-    detector = FailureDetector(clock)
-    store = ReplicatedStore(
-        breaker_device,
-        n_nodes=n_nodes,
-        replication=replication,
-        read_quorum=read_quorum,
-        config=config,
-        clock=clock,
-        detector=detector,
-        injector=injector,
-        seed=seed,
-    )
-    for key in range(n_keys):
-        store.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
-    )
-    repairer = AntiEntropyRepairer(store, admission=admission, injector=injector)
-    return served, store, repairer, device, injector, latency, clock
+    return served, served.backend, repairer, device, injector, latency, clock
 
 
 @dataclass
@@ -1202,22 +1160,7 @@ class ReplicaReport:
     backlog: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "events": [[t, label] for t, label in self.events],
-            "kills": self.kills,
-            "heals": self.heals,
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "hints_journaled": self.hints_journaled,
-            "hints_replayed": self.hints_replayed,
-            "hints_dropped": self.hints_dropped,
-            "repairs": self.repairs,
-            "repair_bytes": self.repair_bytes,
-            "buckets_checked": self.buckets_checked,
-            "repair_sheds": self.repair_sheds,
-            "converged": self.converged,
-            "backlog": self.backlog,
-        }
+        return asdict(self)
 
 
 def run_replica_storm(
@@ -1240,128 +1183,104 @@ def run_replica_storm(
     """A chaos storm over a replicated fleet, with a kill/heal in it.
 
     At request *kill_at* one replica dies (``wipe=True`` destroys its
-    data too); at *heal_at* it comes back.  Every request tick pumps
-    hinted-handoff replay and anti-entropy repair at background
-    priority.  With *crash_at_step* a one-shot crash is armed at that
-    step (e.g. ``handoff.replay:applied``); when it fires, all in-memory
-    state is discarded and the fleet recovers from its devices.  After
-    the storm (``drain=True``) hints replay to exhaustion and repair
-    rounds run until digests converge.
+    data too); at *heal_at* it comes back.  Every other request tick
+    pumps hinted-handoff replay or anti-entropy repair at background
+    priority, through a :class:`~repro.serve.sim.BackgroundDriver`.
+    With *crash_at_step* a one-shot crash is armed at that step (e.g.
+    ``handoff.replay:applied`` or ``repair.stream``); when it fires, all
+    in-memory state is discarded and the fleet recovers from its
+    devices.  After the storm (``drain=True``) hints replay to
+    exhaustion and repair rounds run until digests converge.
     Returns ``(storm_report, replica_report, store, repairer)``.
     """
-    from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
-
-    served, store, repairer, device, injector, latency, clock = (
+    served, _store, repairer, _device, injector, _latency, clock = (
         build_replicated_stack(
             seed, n_keys, n_nodes,
             replication=replication, read_quorum=read_quorum, **stack_kwargs,
         )
     )
-    phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReplicaReport()
     victim = kill_node if kill_node is not None else (1 % n_nodes)
-    state = {"store": store, "repairer": repairer, "requests": 0}
 
-    def _absorb(old_store: ReplicatedStore, old_repairer: AntiEntropyRepairer):
-        report.hints_journaled += old_store.handoff.journaled
-        report.hints_replayed += old_store.handoff.replayed
-        report.hints_dropped += old_store.handoff.dropped
-        report.repairs += old_repairer.repairs
-        report.repair_bytes += old_repairer.repair_bytes
-        report.buckets_checked += old_repairer.buckets_checked
-        report.repair_sheds += old_repairer.sheds
+    def absorb() -> None:
+        handoff = served.backend.handoff
+        report.hints_journaled += handoff.journaled
+        report.hints_replayed += handoff.replayed
+        report.hints_dropped += handoff.dropped
+        report.repairs += repairer.repairs
+        report.repair_bytes += repairer.repair_bytes
+        report.buckets_checked += repairer.buckets_checked
+        report.repair_sheds += repairer.sheds
 
-    def _recover(where: str) -> None:
-        report.crashes += 1
-        old_store, old_repairer = state["store"], state["repairer"]
-        _absorb(old_store, old_repairer)
+    def recover(device) -> ReplicatedStore:
+        nonlocal repairer
         # Breakers are process state, not durable state: the restarted
         # process starts with every circuit closed, so a breaker the
         # pre-crash storm tripped cannot fast-fail recovery's own reads.
-        if isinstance(old_store.device, BreakerDevice):
-            old_store.device.reset()
-        new_store = ReplicatedStore.recover(
-            old_store.device, clock=clock,
-            detector=FailureDetector(clock), injector=injector,
-            config=old_store.config,
+        if isinstance(device, BreakerDevice):
+            device.reset()
+        store = ReplicatedStore.recover(
+            device, clock=clock, detector=FailureDetector(clock),
+            injector=injector, config=served.backend.config,
         )
-        new_repairer = AntiEntropyRepairer(
-            new_store, admission=served.admission, injector=injector
+        repairer = AntiEntropyRepairer(
+            store, admission=served.admission, injector=injector
         )
-        served.backend = new_store
-        state["store"], state["repairer"] = new_store, new_repairer
-        report.recoveries += 1
-        report.events.append((clock.now(), f"recovered:{where}"))
+        return store
 
-    wrng = random.Random(seed ^ 0x3317E)
-
-    def ticker(arrival: float) -> None:
-        state["requests"] += 1
-        n = state["requests"]
-        if write_fraction and wrng.random() < write_fraction:
-            key = wrng.randrange(n_keys)
-            state["writes"] = state.get("writes", 0) + 1
-            try:
-                state["store"].put(key, f"value-{key}-u{state['writes']}")
-            except (TransientIOError, CircuitOpenError):
-                pass
+    def step(arrival: float) -> None:
+        n, store = driver.requests, served.backend
         if kill_at > 0 and n == kill_at:
             if crash_at_step:
                 injector.crash_after(crash_at_step)
-            state["store"].kill(victim, wipe=wipe)
+            store.kill(victim, wipe=wipe)
             report.kills += 1
             report.events.append((clock.now(), f"kill:r{victim}"))
-            return
-        if heal_at > 0 and n == heal_at:
-            state["store"].heal(victim)
+        elif heal_at > 0 and n == heal_at:
+            store.heal(victim)
             report.heals += 1
             report.events.append((clock.now(), f"heal:r{victim}"))
-            return
-        try:
-            # Alternate the two background pumps so neither starves.
-            # Replay gets the same idle-runway gate the repair pump
-            # applies internally: background convergence I/O must not
-            # stall the serial device while foreground traffic is hot.
-            if n % 2:
-                if arrival - clock.now() >= 0.003:
-                    state["store"].handoff.replay(batch=4)
-            else:
-                state["repairer"].pump(arrival)
-        except SimulatedCrash as crash:
-            report.events.append((clock.now(), f"crash:{crash.step}"))
-            _recover(crash.step)
+        # Alternate the two background pumps so neither starves.  Replay
+        # gets the same idle-runway gate the repair pump applies
+        # internally: background convergence I/O must not stall the
+        # serial device while foreground traffic is hot.
+        elif n % 2:
+            if arrival - clock.now() >= 0.003:
+                store.handoff.replay(batch=4)
+        else:
+            repairer.pump(arrival)
 
-    storm = run_storm(served, phases, seed=seed, n_keys=n_keys, ticker=ticker)
+    def drain_step() -> bool:
+        if served.backend.handoff.replay(batch=16, force=True):
+            return False
+        repairer.pump(force=True)
+        # One converged check per completed round keeps the drain's own
+        # scan bill bounded.
+        return repairer.idle and repairer.converged()
 
+    driver = BackgroundDriver(
+        served, report, step=step, recover=recover, absorb=absorb,
+        seed=seed, n_keys=n_keys, write_fraction=write_fraction,
+    )
+    storm = run_storm(
+        served, CALM_STORM_RECOVERY if phases is None else phases,
+        Traffic(seed, n_keys), ticker=driver,
+    )
     if drain:
         # Full convergence is the drain's contract, and a dead replica
         # can neither take its hints nor be digest-checked (converged()
         # is alive-only) — so first bring back every node still down,
         # including any boot-tainted by a mid-storm crash recovery.
-        for node_id, node in sorted(state["store"].nodes.items()):
+        store = served.backend
+        for node_id, node in sorted(store.nodes.items()):
             if not node.alive:
-                state["store"].heal(node_id)
+                store.heal(node_id)
                 report.heals += 1
                 report.events.append((clock.now(), f"drain-heal:r{node_id}"))
-        guard = 0
-        while guard < 10_000:
-            guard += 1
-            try:
-                if state["store"].handoff.replay(batch=16, force=True):
-                    continue
-                state["repairer"].pump(force=True)
-                # One converged check per completed round keeps the
-                # drain's own scan bill bounded.
-                if state["repairer"].idle and state["repairer"].converged():
-                    break
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(f"drain:{crash.step}")
-
-    final_store, final_repairer = state["store"], state["repairer"]
-    _absorb(final_store, final_repairer)
-    report.converged = final_repairer.converged()
-    report.backlog = final_store.handoff.pending()
-    final_store.publish_gauges()
-    final_repairer.publish_gauges()
-    return storm, report, final_store, final_repairer
+        driver.drain(drain_step, 10_000)
+    absorb()
+    report.converged = repairer.converged()
+    report.backlog = served.backend.handoff.pending()
+    served.backend.publish_gauges()
+    repairer.publish_gauges()
+    return storm, report, served.backend, repairer

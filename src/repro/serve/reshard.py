@@ -34,11 +34,16 @@ from __future__ import annotations
 
 import enum
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.apps.lsm import LSMConfig, LSMTree, ScrubReport
+from repro.apps.lsm import (
+    LSMConfig,
+    LSMTree,
+    ScrubReport,
+    load_manifest,
+    write_manifest,
+)
 from repro.common.clock import (
     Answer,
     Deadline,
@@ -49,10 +54,7 @@ from repro.common.clock import (
 from repro.common.faults import (
     CircuitOpenError,
     FaultInjector,
-    FaultyBlockDevice,
-    LatencyInjector,
     RetryPolicy,
-    SimulatedCrash,
     TransientIOError,
 )
 from repro.common.storage import NamespacedDevice
@@ -68,8 +70,14 @@ from repro.common.hashing import hash64
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import default_registry
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
-from repro.serve.breaker import BreakerDevice
-from repro.serve.served import ServedFilter
+from repro.serve.sim import (
+    CALM_STORM_RECOVERY,
+    BackgroundDriver,
+    Traffic,
+    _serving_rig,
+    _tree_retry,
+    run_storm,
+)
 
 
 class MigrationStep(enum.Enum):
@@ -122,6 +130,8 @@ class ShardedStore:
     degrade_on_error=...)`` contract, so it can sit directly behind a
     :class:`~repro.serve.served.ServedFilter`.
     """
+
+    FAULT_CLASSES = LSMTree.FAULT_CLASSES
 
     def __init__(
         self,
@@ -187,13 +197,8 @@ class ShardedStore:
         else:
             tree = LSMTree(self.config, device=ns)
         # Seeded per shard so concurrent retriers stay decorrelated.
-        tree.retry = RetryPolicy(
-            max_attempts=self.config.retry_attempts,
-            jitter="decorrelated",
-            base_backoff=0.0005,
-            max_backoff=0.01,
-            seed=self.seed ^ (0x51ED + shard_id),
-            clock=self.clock,
+        tree.retry = _tree_retry(
+            self.config, self.seed ^ (0x51ED + shard_id), self.clock
         )
         self.shards[shard_id] = tree
         return tree
@@ -263,38 +268,9 @@ class ShardedStore:
         """Persist the routing table: new version, alternate slot,
         read-back verified (a lost or torn write is retried)."""
         self._routing_version += 1
-        slot = self._routing_version % 2
-        payload = self._routing_payload()
-        last_error: Exception | None = None
-        for _attempt in range(4):
-            self._meta.write(("routing", slot), payload, size=len(payload))
-            try:
-                raw = self._meta.read(("routing", slot))
-                if json.loads(unframe(raw).decode())["version"] == \
-                        self._routing_version:
-                    return
-            except (TransientIOError, ChecksumError, ValueError, KeyError) as e:
-                last_error = e
-        raise TransientIOError(
-            f"routing manifest write could not be verified: {last_error}"
+        write_manifest(
+            self._meta, "routing", self._routing_version, self._routing_payload()
         )
-
-    @staticmethod
-    def load_routing_manifest(meta: Any) -> dict | None:
-        """Best valid routing manifest across both slots (highest version)."""
-        retry = RetryPolicy(max_attempts=4)
-        best = None
-        for slot in (0, 1):
-            address = ("routing", slot)
-            if not meta.exists(address):
-                continue
-            try:
-                doc = json.loads(unframe(retry.call(meta.read, address)).decode())
-            except (TransientIOError, ChecksumError, ValueError, KeyError):
-                continue
-            if best is None or doc["version"] > best["version"]:
-                best = doc
-        return best
 
     @classmethod
     def recover(
@@ -314,7 +290,7 @@ class ShardedStore:
         :meth:`ReshardCoordinator.recover` from the journal.
         """
         meta = NamespacedDevice(device, meta_namespace)
-        manifest = cls.load_routing_manifest(meta)
+        manifest = load_manifest(meta, "routing")
         if manifest is None:
             raise RuntimeError("no valid routing manifest; cannot recover")
         if config is None:
@@ -971,7 +947,7 @@ def build_sharded_stack(
     admission_config: AdmissionConfig | None = None,
     lsm_config: LSMConfig | None = None,
 ):
-    """The sharded sibling of :func:`repro.serve.sim.build_stack`.
+    """A sharded store on the stack rig :func:`repro.serve.sim.build_stack` uses.
 
     One clock, one fault/latency injector pair, one faulty device, and
     one breaker bank are shared by every shard (each shard's tree sees a
@@ -979,33 +955,20 @@ def build_sharded_stack(
     breakers behave exactly as in the single-tree stack.  Returns
     ``(served, store, coordinator, device, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
-    )
-    config = lsm_config if lsm_config is not None else LSMConfig(
-        memtable_entries=48, retry_attempts=3, seed=seed
-    )
-    store = ShardedStore.create(
-        breaker_device, n_shards, seed=seed, config=config, clock=clock
-    )
-    for key in range(n_keys):
-        store.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
+
+    def build(clock, _injector, _latency, breaker_device):
+        return ShardedStore.create(
+            breaker_device, n_shards, seed=seed, config=lsm_config, clock=clock
+        )
+
+    served, device, injector, latency, clock = _serving_rig(
+        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
+        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
     )
     coordinator = ReshardCoordinator(
-        store, clock=clock, admission=admission, injector=injector
+        served.backend, clock=clock, admission=served.admission, injector=injector
     )
-    return served, store, coordinator, device, injector, latency, clock
+    return served, served.backend, coordinator, device, injector, latency, clock
 
 
 @dataclass
@@ -1033,22 +996,11 @@ class ReshardReport:
         return self.owner_reads / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "events": [[t, label] for t, label in self.events],
-            "crashes": self.crashes,
-            "recoveries": self.recoveries,
-            "completed": self.completed,
-            "keys_moved": self.keys_moved,
-            "keys_verified": self.keys_verified,
-            "keys_retired": self.keys_retired,
-            "repairs": self.repairs,
-            "lookups": self.lookups,
-            "double_reads": self.double_reads,
-            "double_read_amplification": self.double_read_amplification,
-            "pump_sheds": self.pump_sheds,
-            "final_epoch": self.final_epoch,
-            "final_shards": list(self.final_shards),
-        }
+        """Every field, with owner reads reported as their ratio."""
+        doc = asdict(self)
+        del doc["owner_reads"]
+        doc["double_read_amplification"] = self.double_read_amplification
+        return doc
 
 
 def run_reshard_storm(
@@ -1067,10 +1019,11 @@ def run_reshard_storm(
 ):
     """A chaos storm with a live migration (and optionally a crash) in it.
 
-    Runs :func:`repro.serve.sim.run_storm` over a sharded stack; at
-    request *reshard_at* a split/merge is planned, and every subsequent
-    request pumps one background batch.  With *crash_at_step* set, a
-    one-shot :class:`~repro.common.faults.SimulatedCrash` is armed at
+    Runs :func:`repro.serve.sim.run_storm` over a sharded stack with a
+    :class:`~repro.serve.sim.BackgroundDriver` as its ticker; at request
+    *reshard_at* a split/merge is planned, and every subsequent request
+    pumps one background batch.  With *crash_at_step* set, a one-shot
+    :class:`~repro.common.faults.SimulatedCrash` is armed at
     ``reshard.<step>``; when it fires, all in-memory state is discarded
     and the stack is recovered from the devices (store + coordinator +
     scrub), after which the storm — and the migration — continue.
@@ -1081,117 +1034,79 @@ def run_reshard_storm(
     flush/compaction behaviour in both runs.
     Returns ``(storm_report, reshard_report, coordinator)``.
     """
-    from repro.serve.sim import CALM_STORM_RECOVERY, run_storm
-
-    served, store, coordinator, device, injector, latency, clock = (
+    served, _store, coord, _device, injector, _latency, clock = (
         build_sharded_stack(seed, n_keys, n_shards, **stack_kwargs)
     )
-    phases = CALM_STORM_RECOVERY if phases is None else phases
     report = ReshardReport()
-    state = {
-        "store": store, "coord": coordinator, "requests": 0, "planned": False
-    }
+    planned = False
 
-    def _absorb_counters(old_store: ShardedStore) -> None:
-        report.lookups += old_store.lookups
-        report.owner_reads += old_store.owner_reads
-        report.double_reads += old_store.double_reads
-
-    def _absorb_migration(mig: MigrationState | None) -> None:
+    def absorb(last: MigrationState | None = None) -> None:
+        store = served.backend
+        report.lookups += store.lookups
+        report.owner_reads += store.owner_reads
+        report.double_reads += store.double_reads
+        mig = store.migration or last
         if mig is not None:
             report.keys_moved += mig.keys_moved
             report.keys_verified += mig.keys_verified
             report.keys_retired += mig.keys_retired
             report.repairs += mig.repairs
 
-    def _recover(where: str) -> None:
-        report.crashes += 1
-        old_store = state["store"]
-        _absorb_counters(old_store)
-        _absorb_migration(old_store.migration)
-        new_store = ShardedStore.recover(
-            old_store.device, clock=clock, config=old_store.config, seed=seed
+    def recover(device) -> ShardedStore:
+        nonlocal coord
+        store = ShardedStore.recover(
+            device, clock=clock, config=served.backend.config, seed=seed
         )
-        new_coord = ReshardCoordinator.recover(
-            new_store, clock=clock,
-            admission=served.admission, injector=injector,
+        coord = ReshardCoordinator.recover(
+            store, clock=clock, admission=served.admission, injector=injector,
         )
-        new_store.scrub(repair=True)
-        served.backend = new_store
-        state["store"], state["coord"] = new_store, new_coord
-        report.recoveries += 1
-        report.events.append((clock.now() if clock else 0.0, f"recovered:{where}"))
+        store.scrub(repair=True)
+        return store
 
-    wrng = random.Random(seed ^ 0x3317E)
-
-    def ticker(arrival: float) -> None:
-        state["requests"] += 1
-        if write_fraction and wrng.random() < write_fraction:
-            key = wrng.randrange(n_keys)
-            state["writes"] = state.get("writes", 0) + 1
-            try:
-                state["store"].put(key, f"value-{key}-u{state['writes']}")
-            except (TransientIOError, CircuitOpenError):
-                pass  # an update lost to a storm; the key stays present
+    def step(arrival: float) -> None:
+        nonlocal planned
+        store = served.backend
         # reshard_at <= 0 disables the migration (plain sharded storm).
-        if reshard_at > 0 and not state["planned"] \
-                and state["requests"] >= reshard_at:
-            state["planned"] = True
+        if reshard_at > 0 and not planned and driver.requests >= reshard_at:
+            planned = True
             if crash_at_step:
                 injector.crash_after(f"reshard.{crash_at_step}")
-            try:
-                if kind == "merge":
-                    shards = sorted(state["store"].shards)
-                    state["coord"].plan_merge(
-                        shards[-1] if source is None else source, shards[0]
-                    )
-                else:
-                    state["coord"].plan_split(source=source)
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(crash.step)
+            if kind == "merge":
+                shards = sorted(store.shards)
+                coord.plan_merge(shards[-1] if source is None else source, shards[0])
             else:
-                report.events.append((clock.now(), "planned"))
+                coord.plan_split(source=source)
+            report.events.append((clock.now(), "planned"))
             return
-        mig = state["store"].migration
-        if mig is None:
+        if store.migration is None:
             return
-        before = mig.step
-        try:
-            state["coord"].pump(arrival)
-        except SimulatedCrash as crash:
-            report.events.append((clock.now(), f"crash:{crash.step}"))
-            _recover(crash.step)
-            return
-        after = state["store"].migration.step if state["store"].migration \
-            else MigrationStep.DONE
+        before = store.migration.step
+        coord.pump(arrival)
+        after = store.migration.step if store.migration else MigrationStep.DONE
         if after is not before:
             report.events.append((clock.now(), after.value))
 
+    def drain_step() -> bool:
+        if served.backend.migration is None:
+            return True
+        coord.pump(budget=0.050, force=True)
+        return False
+
+    driver = BackgroundDriver(
+        served, report, step=step, recover=recover, absorb=absorb,
+        seed=seed, n_keys=n_keys, write_fraction=write_fraction,
+    )
     storm = run_storm(
-        served, phases, seed=seed, n_keys=n_keys, ticker=ticker
+        served, CALM_STORM_RECOVERY if phases is None else phases,
+        Traffic(seed, n_keys), ticker=driver,
     )
-
     if drain:
-        guard = 0
-        while state["store"].migration is not None and guard < 50_000:
-            guard += 1
-            try:
-                state["coord"].pump(budget=0.050, force=True)
-            except SimulatedCrash as crash:
-                report.events.append((clock.now(), f"crash:{crash.step}"))
-                _recover(f"drain:{crash.step}")
-
-    final_store, final_coord = state["store"], state["coord"]
-    _absorb_counters(final_store)
-    _absorb_migration(
-        final_store.migration
-        if final_store.migration is not None
-        else final_coord.last_migration
-    )
-    report.completed = final_store.migration is None and state["planned"]
-    report.pump_sheds = final_coord.sheds
-    report.final_epoch = final_store.router.epoch
-    report.final_shards = tuple(sorted(final_store.shards))
-    final_coord.publish_gauges()
-    return storm, report, final_coord
+        driver.drain(drain_step, 50_000)
+    absorb(coord.last_migration)
+    store = served.backend
+    report.completed = store.migration is None and planned
+    report.pump_sheds = coord.sheds
+    report.final_epoch = store.router.epoch
+    report.final_shards = tuple(sorted(store.shards))
+    coord.publish_gauges()
+    return storm, report, coord

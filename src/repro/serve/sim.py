@@ -1,4 +1,4 @@
-"""Seeded chaos-under-load storms against a served LSM stack.
+"""Seeded chaos-under-load storms: the harness every topology shares.
 
 The serving layer's claims — no false negatives, breakers trip and
 recover, shedding stays bounded, tail latency respects deadlines — are
@@ -9,6 +9,13 @@ breakers → LSM-tree → admission → :class:`ServedFilter`), and
 :func:`run_storm` drives an open-loop Poisson workload through a
 schedule of :class:`StormPhase` s, flipping fault rates and latency
 multipliers between phases the way a real incident does.
+
+The sharded, replicated and tenant topologies reuse all of it: their
+``build_*`` put their backend on the same stack rig, their storms run
+through the same :func:`run_storm` (the tenant fleet with its own
+:class:`Traffic`), and resharding and replica repair run as a
+:class:`BackgroundDriver`, the one place a simulated crash is caught
+and the backend recovered from its device.
 
 Everything is seeded: the same ``(seed, phases)`` pair replays the same
 faults, the same latency spikes, the same arrivals, and therefore the
@@ -24,12 +31,15 @@ from dataclasses import dataclass, field
 
 from repro.apps.lsm import LSMConfig, LSMTree
 from repro.cache import BlockCache, CachedDevice, NegativeLookupCache
-from repro.common.clock import SimulatedClock
+from repro.common.clock import Answer, SimulatedClock
 from repro.common.faults import (
+    CircuitOpenError,
     FaultInjector,
     FaultyBlockDevice,
     LatencyInjector,
     RetryPolicy,
+    SimulatedCrash,
+    TransientIOError,
 )
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.breaker import BreakerDevice, BreakerState
@@ -111,6 +121,61 @@ class StormReport:
         return self.total(ServeOutcome.SERVED) / n if n else 0.0
 
 
+def _tree_retry(config: LSMConfig, seed: int, clock) -> RetryPolicy:
+    """A served tree's retry policy: seeded decorrelated jitter whose
+    backoff burns simulated time, like everything else."""
+    return RetryPolicy(
+        max_attempts=config.retry_attempts, jitter="decorrelated",
+        base_backoff=0.0005, max_backoff=0.01, seed=seed, clock=clock,
+    )
+
+
+def _serving_rig(
+    seed: int,
+    build,
+    *,
+    n_keys: int = 0,
+    budget: float,
+    base_latency: float,
+    admission_config: AdmissionConfig | None,
+    breaker_kwargs: dict | None = None,
+    device: bool = True,
+    negative_cache: NegativeLookupCache | None = None,
+):
+    """The stack every ``build_*`` shares, around one backend.
+
+    One clock and one seeded fault/latency injector pair; with *device*,
+    one faulty device behind one breaker bank.  ``build(clock, injector,
+    latency, breaker_device)`` makes the backend, and keys
+    ``0..n_keys`` are loaded into it while latency is switched off, so
+    the load phase is free and the storm's false-negative check has clean
+    ground truth.  Admission control and the :class:`ServedFilter` go on
+    top.  Returns ``(served, device, injector, latency, clock)``.
+    """
+    clock = SimulatedClock()
+    injector = FaultInjector(seed=seed)
+    latency = LatencyInjector(seed=seed, base=base_latency)
+    latency.slowdown = 0.0  # load phase is free: storms start at t=0
+    faulty = breaker_device = None
+    if device:
+        faulty = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
+        breaker_device = BreakerDevice(
+            faulty, clock,
+            **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4}),
+        )
+    backend = build(clock, injector, latency, breaker_device)
+    for key in range(n_keys):
+        backend.put(key, f"value-{key}")
+    latency.slowdown = 1.0
+    served = ServedFilter(
+        backend, clock,
+        admission=AdmissionController(clock, admission_config),
+        breaker_device=breaker_device, default_budget=budget,
+        negative_cache=negative_cache,
+    )
+    return served, faulty, injector, latency, clock
+
+
 def build_stack(
     seed: int = 0,
     n_keys: int = 2_000,
@@ -137,47 +202,30 @@ def build_stack(
     served facade additionally memoizes authoritative ABSENT answers in
     a :class:`~repro.cache.NegativeLookupCache` (``served.negative_cache``).
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=base_latency)
-    latency.slowdown = 0.0  # load phase is free: storms start at t=0
-    device = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-    breaker_device = BreakerDevice(
-        device, clock, **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4})
-    )
-    config = lsm_config if lsm_config is not None else LSMConfig(
-        memtable_entries=64, retry_attempts=3, seed=seed
-    )
-    device_stack: object = breaker_device
-    if cache_mb > 0:
-        block_cache = BlockCache(
-            int(cache_mb * 1024 * 1024), policy=cache_policy, seed=seed
+
+    def build(clock, _injector, _latency, breaker_device):
+        config = lsm_config if lsm_config is not None else LSMConfig(
+            memtable_entries=64, retry_attempts=3, seed=seed
         )
-        device_stack = CachedDevice(breaker_device, block_cache)
-    tree = LSMTree(config, device=device_stack)
-    # Backoff burns simulated time and is seeded, like everything else.
-    tree.retry = RetryPolicy(
-        max_attempts=config.retry_attempts,
-        jitter="decorrelated",
-        base_backoff=0.0005,
-        max_backoff=0.01,
-        seed=seed,
-        clock=clock,
-    )
-    for key in range(n_keys):
-        tree.put(key, f"value-{key}")
-    latency.slowdown = 1.0
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        tree, clock,
-        admission=admission, breaker_device=breaker_device,
-        default_budget=budget,
+        device_stack: object = breaker_device
+        if cache_mb > 0:
+            block_cache = BlockCache(
+                int(cache_mb * 1024 * 1024), policy=cache_policy, seed=seed
+            )
+            device_stack = CachedDevice(breaker_device, block_cache)
+        tree = LSMTree(config, device=device_stack)
+        tree.retry = _tree_retry(config, seed, clock)
+        return tree
+
+    served, device, injector, latency, clock = _serving_rig(
+        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
+        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
         negative_cache=(
             NegativeLookupCache(negative_cache_entries)
             if negative_cache_entries > 0 else None
         ),
     )
-    return served, tree, device, injector, latency, clock
+    return served, served.backend, device, injector, latency, clock
 
 
 CALM_STORM_RECOVERY = (
@@ -187,41 +235,64 @@ CALM_STORM_RECOVERY = (
 )
 
 
+class Traffic:
+    """A storm's seeded request stream.
+
+    One RNG draws every arrival gap, key and priority, so a seed replays
+    the same storm.  :meth:`pick` names the next request as ``(key,
+    present, tenant)``: here a loaded key ``0..n_keys`` with probability
+    *present_fraction*, else a key guaranteed absent, with no tenant.
+    Other topologies subclass it to draw from their own key space.
+    """
+
+    def __init__(
+        self, seed: int = 0, n_keys: int = 2_000, present_fraction: float = 0.5
+    ):
+        self.rng = random.Random(seed ^ 0x570F)
+        self.n_keys = n_keys
+        self.present_fraction = present_fraction
+
+    def pick(self):
+        rng, n = self.rng, self.n_keys
+        present = rng.random() < self.present_fraction
+        return (rng.randrange(n) if present else n + rng.randrange(n)), present, None
+
+
 def run_storm(
     served: ServedFilter,
     phases=CALM_STORM_RECOVERY,
+    traffic: Traffic | None = None,
     *,
-    seed: int = 0,
-    n_keys: int = 2_000,
-    present_fraction: float = 0.5,
     priority_weights: tuple[float, float, float] = (0.2, 0.6, 0.2),
     ticker=None,
 ) -> StormReport:
     """Drive a phase schedule through *served* and audit the answers.
 
-    Each request targets a loaded key with probability
-    *present_fraction*, else a key guaranteed absent.  A false negative
-    is a present key answered ABSENT — the invariant the one-sided-error
-    contract says can never happen, shed or storm or not.
+    Requests come from *traffic* (default ``Traffic()``).  A false
+    negative is a present key answered ABSENT — the invariant the
+    one-sided-error contract says can never happen, shed or storm or not.
+    Each phase sets the read-fault rate of the backend's
+    ``FAULT_CLASSES`` and the latency model's slowdown and spike rate.
 
     *ticker*, if given, is called as ``ticker(arrival)`` before every
-    request — the hook background work (e.g. online-resharding pumps,
-    :mod:`repro.serve.reshard`) uses to interleave with live traffic.
-    It may swap ``served.backend`` (crash recovery does).
+    request — the hook background work (resharding pumps, replica
+    repair, tenant churn) uses to interleave with live traffic.  It may
+    swap ``served.backend`` (crash recovery does).
     """
-    rng = random.Random(seed ^ 0x570F)
-    injector = served.breaker_device.injector
-    latency = served.breaker_device.latency
+    traffic = traffic if traffic is not None else Traffic()
+    rng = traffic.rng
+    # A device-backed store reaches its injectors through the device;
+    # the tenant store, which has none, holds them itself.
+    chaos = getattr(served.backend, "device", served.backend)
+    injector, latency = chaos.injector, chaos.latency
+    classes = served.backend.FAULT_CLASSES
     clock = served.clock
     report = StormReport()
     priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
     arrival = clock.now()
     for phase in phases:
         injector.transient_read = {
-            "run": phase.transient_read,
-            "page": phase.transient_read,
-            "filter": phase.transient_read,
-            "*": 0.0,
+            **{c: phase.transient_read for c in classes}, "*": 0.0,
         }
         latency.slowdown = phase.slowdown
         latency.spike_prob = phase.spike_prob
@@ -231,16 +302,80 @@ def run_storm(
             arrival += rng.expovariate(1.0 / phase.mean_interarrival)
             if ticker is not None:
                 ticker(arrival)
-            present = rng.random() < present_fraction
-            key = rng.randrange(n_keys) if present else n_keys + rng.randrange(n_keys)
+            key, present, tenant = traffic.pick()
             priority = rng.choices(priorities, weights=priority_weights)[0]
-            response = served.serve(key, priority=priority, arrival=arrival)
+            response = served.serve(
+                key, priority=priority, arrival=arrival, tenant=tenant,
+            )
             phase_report.outcomes[response.outcome] += 1
             if response.outcome is ServeOutcome.SERVED:
                 phase_report.latencies.append(response.latency)
-            if present and response.answer.value == "absent":
+            if present and response.answer is Answer.ABSENT:
                 report.false_negatives += 1
-    report.breaker_opens = served.breaker_device.n_transitions(BreakerState.OPEN)
-    report.breaker_closes = served.breaker_device.n_transitions(BreakerState.CLOSED)
+    if served.breaker_device is not None:
+        report.breaker_opens = served.breaker_device.n_transitions(BreakerState.OPEN)
+        report.breaker_closes = served.breaker_device.n_transitions(
+            BreakerState.CLOSED
+        )
     served.publish_gauges()
     return report
+
+
+class BackgroundDriver:
+    """The crash-recovering background half of a storm.
+
+    Passed to :func:`run_storm` as its ticker.  Before every request a
+    seeded *write_fraction* of ticks updates a loaded key (the write
+    load that makes resharding and repair necessary), then the
+    topology's ``step(arrival)`` runs — plan, pump, kill or heal.  A
+    :class:`~repro.common.faults.SimulatedCrash` out of a step, or out
+    of :meth:`drain`, is a process death: ``absorb()`` folds the dying
+    backend's counters into *report*, ``recover(device)`` rebuilds the
+    backend from its device alone, and the result replaces
+    ``served.backend``.  *report* needs ``events``, ``crashes`` and
+    ``recoveries``.
+    """
+
+    def __init__(self, served, report, *, step, recover, absorb,
+                 seed: int, n_keys: int, write_fraction: float):
+        self.served = served
+        self.report = report
+        self.step = step
+        self.recover = recover
+        self.absorb = absorb
+        self.n_keys = n_keys
+        self.write_fraction = write_fraction
+        self.requests = 0
+        self._writes = 0
+        self._wrng = random.Random(seed ^ 0x3317E)
+
+    def __call__(self, arrival: float) -> None:
+        self.requests += 1
+        if self.write_fraction and self._wrng.random() < self.write_fraction:
+            key = self._wrng.randrange(self.n_keys)
+            self._writes += 1
+            try:
+                self.served.backend.put(key, f"value-{key}-u{self._writes}")
+            except (TransientIOError, CircuitOpenError):
+                pass  # an update lost to a storm; the key stays present
+        self.guarded(self.step, arrival)
+
+    def guarded(self, action, *args, where: str = ""):
+        """``action(*args)``, or None after recovering from its crash."""
+        try:
+            return action(*args)
+        except SimulatedCrash as crash:
+            clock, report = self.served.clock, self.report
+            report.events.append((clock.now(), f"crash:{crash.step}"))
+            report.crashes += 1
+            self.absorb()
+            self.served.backend = self.recover(self.served.backend.device)
+            report.recoveries += 1
+            report.events.append((clock.now(), f"recovered:{where}{crash.step}"))
+            return None
+
+    def drain(self, step, rounds: int) -> None:
+        """Call ``step()`` until it returns true, at most *rounds* times."""
+        for _ in range(rounds):
+            if self.guarded(step, where="drain:"):
+                return

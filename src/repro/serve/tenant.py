@@ -48,14 +48,14 @@ from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
 from repro.filters.bloom import BloomFilter
 from repro.obs.metrics import default_registry
-from repro.serve.admission import (
-    AdmissionConfig,
-    AdmissionController,
-    Priority,
-    TenantQuota,
+from repro.serve.admission import AdmissionConfig, TenantQuota
+from repro.serve.sim import (
+    StormPhase,
+    StormReport,
+    Traffic,
+    _serving_rig,
+    run_storm,
 )
-from repro.serve.served import ServedFilter, ServeOutcome
-from repro.serve.sim import PhaseReport, StormPhase, StormReport
 from repro.workloads.synthetic import zipf_queries
 
 
@@ -343,6 +343,8 @@ class TenantStore:
     latency for it.
     """
 
+    FAULT_CLASSES = ("tenant_node", "tenant_leaf", "tenant_store")
+
     def __init__(
         self,
         router: TenantRouter,
@@ -537,6 +539,8 @@ def build_tenant_stack(
 ):
     """Assemble the multi-tenant serving stack, fleet pre-loaded.
 
+    The stack rig of :func:`repro.serve.sim.build_stack`, minus the
+    device: probes charge latency and draw faults in the store itself.
     Tenant *t* (ints ``0..n_tenants-1``) owns keys
     ``t*keys_per_tenant .. (t+1)*keys_per_tenant - 1`` — ground truth
     the storm's false-negative audit can recompute.  *probe_latency* is
@@ -545,29 +549,90 @@ def build_tenant_stack(
     its deadline while the O(log N) router cruises.
     Returns ``(served, store, injector, latency, clock)``.
     """
-    clock = SimulatedClock()
-    injector = FaultInjector(seed=seed)
-    latency = LatencyInjector(seed=seed, base=probe_latency)
-    latency.slowdown = 0.0  # pre-load is free, storms start at t=0
-    router = TenantRouter(TenantConfig(
-        n_trees=n_trees, leaf_capacity=max(64, keys_per_tenant), seed=seed,
-    ))
-    store = TenantStore(
-        router, clock, injector=injector, latency=latency, mode=mode,
-    )
-    for tenant in range(n_tenants):
-        base = tenant * keys_per_tenant
-        store.add_tenant(tenant, range(base, base + keys_per_tenant))
-    latency.slowdown = 1.0
+
+    def build(clock, injector, latency, _breaker_device):
+        router = TenantRouter(TenantConfig(
+            n_trees=n_trees, leaf_capacity=max(64, keys_per_tenant), seed=seed,
+        ))
+        store = TenantStore(
+            router, clock, injector=injector, latency=latency, mode=mode,
+        )
+        for tenant in range(n_tenants):
+            base = tenant * keys_per_tenant
+            store.add_tenant(tenant, range(base, base + keys_per_tenant))
+        return store
+
     if admission_config is None:
         admission_config = AdmissionConfig(tenant_quota=quota)
     elif quota is not None and admission_config.tenant_quota is None:
         admission_config.tenant_quota = quota
-    admission = AdmissionController(clock, admission_config)
-    served = ServedFilter(
-        store, clock, admission=admission, default_budget=budget,
+    served, _device, injector, latency, clock = _serving_rig(
+        seed, build, budget=budget, base_latency=probe_latency,
+        admission_config=admission_config, device=False,
     )
-    return served, store, injector, latency, clock
+    return served, served.backend, injector, latency, clock
+
+
+class TenantTraffic(Traffic):
+    """Multi-tenant requests: a Zipf-picked requester per request, keys
+    drawn from live tenants, and churn as the per-request :meth:`tick`.
+
+    Zipf ranks cover the *initial* fleet; churned-in tenants inherit a
+    departed rank slot (live list index) so the skew profile persists.
+    """
+
+    def __init__(self, served, report: TenantReport, *, seed: int,
+                 keys_per_tenant: int, n_requests: int, zipf_skew: float,
+                 churn_every: int, present_fraction: float):
+        self.rng = random.Random(seed ^ 0x7E4A47)
+        self.present_fraction = present_fraction
+        self.served, self.store, self.report = served, served.backend, report
+        self.keys_per_tenant = keys_per_tenant
+        self.churn_every = churn_every
+        self.live = self.store.router.tenant_ids()
+        self.keys_of = {t: list(self.store.truth[t]) for t in self.live}
+        n = self.next_tenant = len(self.live)
+        self.rank_seq = zipf_queries(
+            list(range(max(1, n))), max(1, n_requests), zipf_skew, seed=seed,
+        )
+        self.index = 0
+
+    def tick(self, arrival: float) -> None:
+        """Every *churn_every* requests, swap one tenant for a fresh one."""
+        if not (self.churn_every and self.index
+                and self.index % self.churn_every == 0):
+            return
+        live, report = self.live, self.report
+        if len(live) > 1:
+            victim = live.pop(self.rng.randrange(len(live)))
+            self.store.remove_tenant(victim)
+            del self.keys_of[victim]
+            if self.served.admission is not None:
+                self.served.admission.forget_tenant(victim)
+            report.tenants_removed += 1
+        # Tenant t owns keys t*k .. (t+1)*k - 1, as in build_tenant_stack.
+        tenant, k = self.next_tenant, self.keys_per_tenant
+        self.keys_of[tenant] = list(range(tenant * k, (tenant + 1) * k))
+        self.store.add_tenant(tenant, self.keys_of[tenant])
+        live.append(tenant)
+        self.next_tenant += 1
+        report.tenants_added += 1
+        default_registry().counter(
+            "repro_tenant_churn_total",
+            "tenant provision/deprovision events during storms",
+            labels=("op",),
+        ).labels(op="cycle").inc()
+
+    def pick(self):
+        rng, live = self.rng, self.live
+        requester = live[self.rank_seq[self.index] % len(live)]
+        self.index += 1
+        present = rng.random() < self.present_fraction
+        if present:
+            keys = self.keys_of[live[rng.randrange(len(live))]]
+            return keys[rng.randrange(len(keys))], present, requester
+        # Disjoint from every key the fleet will ever own.
+        return (1 << 40) + rng.randrange(1 << 30), present, requester
 
 
 def run_tenant_storm(
@@ -589,7 +654,8 @@ def run_tenant_storm(
 ) -> tuple[StormReport, TenantReport, TenantStore]:
     """Zipf multi-tenant traffic with optional churn; audit at the end.
 
-    Every request is attributed to a Zipf(*zipf_skew*)-picked requesting
+    :func:`~repro.serve.sim.run_storm` drives a :class:`TenantTraffic`:
+    every request is attributed to a Zipf(*zipf_skew*)-picked requesting
     tenant (billed against its quota bucket); the queried key is a live
     tenant's key with probability *present_fraction*, else guaranteed
     absent.  With ``churn_every > 0``, every that-many requests one
@@ -603,87 +669,22 @@ def run_tenant_storm(
     in the :class:`~repro.serve.sim.StormReport`, exactly like every
     other storm harness in this repo.
     """
-    served, store, injector, latency, clock = build_tenant_stack(
+    served, store, injector, latency, _clock = build_tenant_stack(
         seed,
         n_tenants=n_tenants, keys_per_tenant=keys_per_tenant,
         n_trees=n_trees, mode=mode, quota=quota, budget=budget,
         probe_latency=probe_latency,
     )
-    rng = random.Random(seed ^ 0x7E4A47)
-    report = StormReport()
     tenant_report = TenantReport(n_tenants_start=store.n_tenants)
-    priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
-
-    live = list(range(n_tenants))
-    next_tenant = n_tenants
-    next_key = n_tenants * keys_per_tenant
-    keys_of = {t: list(store.truth[t]) for t in live}
-    absent_base = 1 << 40  # disjoint from every key the fleet will ever own
-
-    total_requests = sum(p.n_requests for p in phases)
-    # Zipf ranks over the *initial* fleet; churned-in tenants inherit a
-    # departed rank slot (live list index) so the skew profile persists.
-    rank_seq = zipf_queries(
-        list(range(max(1, n_tenants))), max(1, total_requests),
-        zipf_skew, seed=seed,
+    traffic = TenantTraffic(
+        served, tenant_report, seed=seed, keys_per_tenant=keys_per_tenant,
+        n_requests=sum(p.n_requests for p in phases), zipf_skew=zipf_skew,
+        churn_every=churn_every, present_fraction=present_fraction,
     )
-
-    def churn(arrival: float) -> None:
-        nonlocal next_tenant, next_key
-        if len(live) > 1:
-            victim = live.pop(rng.randrange(len(live)))
-            store.remove_tenant(victim)
-            del keys_of[victim]
-            if served.admission is not None:
-                served.admission.forget_tenant(victim)
-            tenant_report.tenants_removed += 1
-        fresh_keys = range(next_key, next_key + keys_per_tenant)
-        store.add_tenant(next_tenant, fresh_keys)
-        keys_of[next_tenant] = list(fresh_keys)
-        live.append(next_tenant)
-        next_tenant += 1
-        next_key += keys_per_tenant
-        tenant_report.tenants_added += 1
-        default_registry().counter(
-            "repro_tenant_churn_total",
-            "tenant provision/deprovision events during storms",
-            labels=("op",),
-        ).labels(op="cycle").inc()
-
-    request_index = 0
-    arrival = clock.now()
-    for phase in phases:
-        injector.transient_read = {
-            "tenant_node": phase.transient_read,
-            "tenant_leaf": phase.transient_read,
-            "tenant_store": phase.transient_read,
-            "*": 0.0,
-        }
-        latency.slowdown = phase.slowdown
-        latency.spike_prob = phase.spike_prob
-        phase_report = PhaseReport(phase.name)
-        report.phases.append(phase_report)
-        for _ in range(phase.n_requests):
-            arrival += rng.expovariate(1.0 / phase.mean_interarrival)
-            if churn_every and request_index and request_index % churn_every == 0:
-                churn(arrival)
-            requester = live[rank_seq[request_index] % len(live)]
-            present = rng.random() < present_fraction
-            if present:
-                owner = live[rng.randrange(len(live))]
-                key = keys_of[owner][rng.randrange(len(keys_of[owner]))]
-            else:
-                key = absent_base + rng.randrange(1 << 30)
-            priority = rng.choices(priorities, weights=priority_weights)[0]
-            response = served.serve(
-                key, priority=priority, arrival=arrival, tenant=requester,
-            )
-            phase_report.outcomes[response.outcome] += 1
-            if response.outcome is ServeOutcome.SERVED:
-                phase_report.latencies.append(response.latency)
-            if present and response.answer is Answer.ABSENT:
-                report.false_negatives += 1
-            request_index += 1
+    report = run_storm(
+        served, phases, traffic,
+        priority_weights=priority_weights, ticker=traffic.tick,
+    )
 
     tenant_report.quota_sheds = (
         sum(served.admission.stats.shed_by_tenant.values())
@@ -707,10 +708,10 @@ def run_tenant_storm(
         tenant_report.invariant_failures = len(store.router.check_invariants())
         tenant_report.stale_bits_cleared = store.router.reor_all()
         tenant_report.invariant_failures += len(store.router.check_invariants())
-        all_keys = [(t, k) for t in live for k in keys_of[t]]
+        all_keys = [(t, k) for t in traffic.live for k in traffic.keys_of[t]]
         sample = (
             all_keys if len(all_keys) <= 2_000
-            else rng.sample(all_keys, 2_000)
+            else traffic.rng.sample(all_keys, 2_000)
         )
         for tenant, key in sample:
             result = store.lookup(key)
@@ -734,5 +735,4 @@ def run_tenant_storm(
     registry.gauge(
         "repro_tenant_tree_height", "max Bloofi tree height in the fleet"
     ).set(tenant_report.max_height)
-    served.publish_gauges()
     return report, tenant_report, store

@@ -39,7 +39,7 @@ from repro.common.faults import FaultInjector, FaultyBlockDevice
 from repro.common.storage import BlockDevice
 from repro.obs.metrics import WindowedRate
 from repro.serve.served import ServeOutcome
-from repro.serve.sim import build_stack, run_storm
+from repro.serve.sim import Traffic, build_stack, run_storm
 
 
 class TestBlockCacheLRU:
@@ -321,7 +321,7 @@ def test_storm_with_cache_keeps_one_sided_contract():
         seed=13, n_keys=400,
         cache_mb=0.25, cache_policy="tinylfu", negative_cache_entries=1024,
     )
-    report = run_storm(served, seed=13, n_keys=400)
+    report = run_storm(served, traffic=Traffic(13, 400))
     assert report.false_negatives == 0
     assert tree.device.cache.stats.hits > 0
     assert report.goodput() > 0.5

@@ -44,6 +44,10 @@ HANDOFF_STEPS = [
     "handoff.replay:batch",
 ]
 
+REPAIR_STEPS = [
+    "repair.stream",
+]
+
 
 # -- replica placement -------------------------------------------------------------
 
@@ -611,6 +615,21 @@ class TestReplicaStorm:
             kill_at=120, heal_at=300, write_fraction=0.1,
             crash_at_step="handoff.replay:applied",
         )
+        assert storm.false_negatives == 0
+        assert rep.converged
+        assert rep.backlog == 0
+
+    @pytest.mark.parametrize("crash_step", REPAIR_STEPS)
+    def test_crash_during_repair_recovers(self, seed, crash_step):
+        """A wiped replica is rebuilt only by repair streaming, so the
+        armed crash must fire; the driver recovers and converges."""
+        storm, rep, store, repairer = run_replica_storm(
+            seed=seed, n_keys=300, n_nodes=3, phases=_small_phases(),
+            kill_at=120, heal_at=300, wipe=True, write_fraction=0.1,
+            crash_at_step=crash_step,
+        )
+        assert rep.crashes == 1 and rep.recoveries == 1
+        assert any(label == f"crash:{crash_step}" for _t, label in rep.events)
         assert storm.false_negatives == 0
         assert rep.converged
         assert rep.backlog == 0

@@ -31,7 +31,6 @@ from repro.core.routing import (
     ConsistentHashRouter,
     HashRangeRouter,
     HashRouter,
-    ModuloRouter,
     router_from_manifest,
 )
 from repro.filters.bloom import BloomFilter
@@ -63,21 +62,10 @@ class TestHashRouter:
         assert clone.shard_ids() == router.shard_ids()
         assert all(clone.owner(k) == router.owner(k) for k in KEYS)
 
-
-class TestModuloRouter:
-    def test_construction_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            ModuloRouter(4, seed=1)
-
-    def test_rehydrating_a_manifest_does_not_rewarn(self):
-        with pytest.warns(DeprecationWarning):
-            manifest = ModuloRouter(4, seed=1).to_manifest()
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            clone = router_from_manifest(manifest)
-        assert clone.shard_ids() == (0, 1, 2, 3)
+    def test_unknown_kind_rejected(self):
+        # "modulo" named the retired ModuloRouter; nothing persists it.
+        with pytest.raises(ValueError, match="unknown router kind"):
+            router_from_manifest({"kind": "modulo", "n_shards": 4})
 
 
 class TestHashRangeRouter:
@@ -146,7 +134,7 @@ class TestConsistentHashRouter:
         assert all(clone.owner(k) == router.owner(k) for k in KEYS)
 
 
-# -- ShardedFilter routing hooks ---------------------------------------------------
+# -- ShardedFilter routing ---------------------------------------------------------
 
 
 class TestShardedFilterRouting:
@@ -158,7 +146,7 @@ class TestShardedFilterRouting:
     def test_default_router_matches_historical_mapping(self):
         sf = self._filter()
         for key in KEYS:
-            assert sf._shard_of(key) == hash_to_range(key, 4, 1 ^ SHARD_SALT)
+            assert sf.router.owner(key) == hash_to_range(key, 4, 1 ^ SHARD_SALT)
 
     def test_insert_and_query_under_custom_router(self):
         sf = self._filter(router=HashRangeRouter.uniform(range(4), seed=1))
@@ -166,34 +154,9 @@ class TestShardedFilterRouting:
             sf.insert(key)
         assert all(sf.may_contain(key) for key in range(100))
 
-    def test_migration_double_applies_and_double_reads(self):
-        sf = self._filter()
-        target = sf.add_shard(BloomFilter(256, 0.01))
-        assert target == 4
-        for key in range(50):
-            sf.insert(key)
-        new_router = HashRouter(5, seed=1, epoch=sf.routing_epoch + 1)
-        sf.begin_migration(new_router)
-        assert sf.migrating
-        # Pre-migration keys stay visible through the old owner...
-        assert all(sf.may_contain(key) for key in range(50))
-        for key in range(50, 100):
-            sf.insert(key)
-        sf.complete_migration()
-        assert not sf.migrating
-        assert sf.routing_epoch == new_router.epoch
-        # ...and double-applied keys survive the cutover.
-        assert all(sf.may_contain(key) for key in range(50, 100))
-
     def test_router_beyond_shard_list_rejected(self):
         with pytest.raises(ValueError):
             self._filter(n_shards=2, router=HashRouter(5, seed=1))
-
-    def test_double_migration_rejected(self):
-        sf = self._filter()
-        sf.begin_migration(HashRouter(4, seed=1, epoch=1))
-        with pytest.raises(RuntimeError):
-            sf.begin_migration(HashRouter(4, seed=1, epoch=2))
 
 
 # -- ShardedStore ------------------------------------------------------------------

@@ -16,6 +16,11 @@ from repro.filters.ribbon import RibbonFilter
 from repro.filters.xor import XorFilter
 
 
+def _bbf1(filt) -> bytes:
+    """A legacy ``BBF1`` blob: the magic plus the frame's body."""
+    return b"BBF1" + unframe(dumps(filt)[4:])
+
+
 def _assert_equivalent(original, restored, members, probes):
     assert len(restored) == len(original)
     assert restored.size_in_bits == original.size_in_bits
@@ -126,23 +131,19 @@ class TestErrors:
             loads(b"BBF2" + frame(bytes([99]) + b"\x00" * 16))
 
     def test_v1_truncated_header(self):
-        blob = dumps(BloomFilter(100, 0.01), version=1)
+        blob = _bbf1(BloomFilter(100, 0.01))
         with pytest.raises(ValueError, match="truncated"):
             loads(blob[:8])
 
     def test_v1_trailing_garbage(self):
-        blob = dumps(BloomFilter(100, 0.01), version=1)
+        blob = _bbf1(BloomFilter(100, 0.01))
         with pytest.raises(ValueError, match="payload"):
             loads(blob + b"\x00" * 8)
 
     def test_v1_ragged_payload(self):
-        blob = dumps(BloomFilter(100, 0.01), version=1)
+        blob = _bbf1(BloomFilter(100, 0.01))
         with pytest.raises(ValueError, match="64-bit"):
             loads(blob + b"\x00" * 3)
-
-    def test_unsupported_version(self):
-        with pytest.raises(ValueError, match="version"):
-            dumps(BloomFilter(100, 0.01), version=3)
 
 
 class TestV1Compat:
@@ -153,7 +154,7 @@ class TestV1Compat:
         bloom = BloomFilter(len(members), 0.01, seed=7)
         for key in members:
             bloom.insert(key)
-        blob = dumps(bloom, version=1)
+        blob = _bbf1(bloom)
         assert blob[:4] == b"BBF1"
         restored = loads(blob)
         _assert_equivalent(bloom, restored, members, negatives[:200])
@@ -162,12 +163,13 @@ class TestV1Compat:
         bloom = BloomFilter(100, 0.01)
         blob = dumps(bloom)
         assert blob[:4] == b"BBF2"
-        # The framed body is byte-identical to the v1 body.
-        assert unframe(blob[4:]) == dumps(bloom, version=1)[4:]
+        # The framed body is a valid v1 body.
+        assert loads(b"BBF1" + unframe(blob[4:])).size_in_bits == \
+            bloom.size_in_bits
 
     def test_v2_costs_eight_bytes(self):
         bloom = BloomFilter(100, 0.01)
-        assert len(dumps(bloom, version=2)) == len(dumps(bloom, version=1)) + 8
+        assert len(dumps(bloom)) == len(_bbf1(bloom)) + 8
 
 
 class TestVerify:
@@ -176,8 +178,8 @@ class TestVerify:
         bloom = BloomFilter(len(members), 0.01, seed=7)
         for key in members:
             bloom.insert(key)
-        assert verify(dumps(bloom, version=2))
-        assert verify(dumps(bloom, version=1))
+        assert verify(dumps(bloom))
+        assert verify(_bbf1(bloom))
 
     def test_corrupt_v2_fails_verify(self):
         blob = bytearray(dumps(BloomFilter(100, 0.01)))
@@ -229,7 +231,8 @@ class TestProperties:
     )
     def test_round_trip_membership(self, keys, version):
         for filt in _build_all(keys):
-            restored = loads(dumps(filt, version=version))
+            blob = dumps(filt) if version == 2 else _bbf1(filt)
+            restored = loads(blob)
             for key in keys:
                 assert restored.may_contain(key), type(filt).__name__
 
@@ -251,4 +254,4 @@ class TestProperties:
 
 
 _MUTATION_KEYS = list(range(100, 160))
-_MUTATION_BLOBS = [dumps(f, version=2) for f in _build_all(_MUTATION_KEYS)]
+_MUTATION_BLOBS = [dumps(f) for f in _build_all(_MUTATION_KEYS)]

@@ -40,6 +40,7 @@ from repro.serve import (
     ServedFilter,
     ServeOutcome,
     StormPhase,
+    Traffic,
     build_stack,
     run_storm,
 )
@@ -552,7 +553,7 @@ class TestChaosStorms:
         with use_registry():
             served, *_rest = build_stack(seed=seed, n_keys=1_000)
             report = run_storm(served, CALM_STORM_RECOVERY,
-                               seed=seed, n_keys=1_000)
+                               Traffic(seed, 1_000))
         return served, report
 
     def test_never_a_false_negative(self, seed):
