@@ -178,7 +178,8 @@ def _cmd_stats(args) -> int:
             failures = obs.selftest(registry)
             for failure in failures:
                 print(f"selftest FAIL: {failure}")
-            print(f"selftest: {len(registry.metrics())} metric families audited, "
+            print(f"selftest: {len(obs.declared_families())} declared and "
+                  f"{len(registry.metrics())} registered metric families audited, "
                   f"{len(failures)} failure(s)")
             return 1 if failures else 0
         tree, result = _build_workload_tree(args, registry)

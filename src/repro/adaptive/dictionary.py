@@ -29,8 +29,15 @@ from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, TransientIOError
 from repro.common.storage import BlockDevice
 from repro.core.interfaces import AdaptiveFilter, Key, KeyBatch, as_key_list
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family
 from repro.obs.tracing import trace
+
+QUERIES = Family(
+    Counter, "repro_dict_queries_total", "filtered-dictionary lookups, by outcome", ("outcome",)
+)
+ADAPTATIONS = Family(
+    Counter, "repro_dict_adaptations_total", "false positives fed back to an adaptive filter"
+)
 
 
 @dataclass
@@ -111,11 +118,6 @@ class FilteredDictionary:
         filter negative stays an authoritative ABSENT because it never
         touches the device at all.
         """
-        queries = default_registry().counter(
-            "repro_dict_queries_total",
-            "filtered-dictionary lookups, by outcome",
-            labels=("outcome",),
-        )
         self.stats.queries += 1
         if deadline is not None and deadline.expired():
             return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
@@ -125,12 +127,12 @@ class FilteredDictionary:
             # A memoized authoritative ABSENT under the current epoch —
             # no filter probe, no device read, and no adaptive feedback
             # (the first confirmation already fed the filter).
-            queries.labels(outcome="negative").inc()
+            QUERIES.labels(outcome="negative").inc()
             return LookupResult(Answer.ABSENT)
         with trace("filter.probe"):
             maybe = self._filter.may_contain(key)
         if not maybe:
-            queries.labels(outcome="negative").inc()
+            QUERIES.labels(outcome="negative").inc()
             if self.negative_cache is not None:
                 self.negative_cache.record_absent(key, self.mutation_epoch)
             return LookupResult(Answer.ABSENT)
@@ -147,22 +149,19 @@ class FilteredDictionary:
         result = LookupResult(Answer.ABSENT, runs_probed=1)
         if present:
             self.stats.positive_hits += 1
-            queries.labels(outcome="hit").inc()
+            QUERIES.labels(outcome="hit").inc()
             result.state, result.value = Answer.PRESENT, value
         else:
             # Confirmed false positive: this is the moment the paper's
             # adaptive loop closes — the expensive read already happened,
             # so reporting back to the filter is free.
             self.stats.false_positives += 1
-            queries.labels(outcome="false_positive").inc()
+            QUERIES.labels(outcome="false_positive").inc()
             if self._adaptive:
                 with trace("filter.adapt"):
                     self._filter.report_false_positive(key)
                 self.stats.adaptations_fed_back += 1
-                default_registry().counter(
-                    "repro_dict_adaptations_total",
-                    "false positives fed back to an adaptive filter",
-                ).inc()
+                ADAPTATIONS.inc()
         if deadline is not None and deadline.expired():
             # Resolved, but late: report the conservative MAYBE so a late
             # answer can never masquerade as meeting its SLO.
@@ -196,11 +195,6 @@ class FilteredDictionary:
         key_list = as_key_list(keys)
         if not key_list:
             return []
-        queries = default_registry().counter(
-            "repro_dict_queries_total",
-            "filtered-dictionary lookups, by outcome",
-            labels=("outcome",),
-        )
         self.stats.queries += len(key_list)
         results: list[Any] = [default] * len(key_list)
         cached_absent: set[int] = set()
@@ -210,7 +204,7 @@ class FilteredDictionary:
                 if self.negative_cache.known_absent(key, self.mutation_epoch)
             }
             if cached_absent:
-                queries.labels(outcome="negative").inc(len(cached_absent))
+                QUERIES.labels(outcome="negative").inc(len(cached_absent))
         probe = getattr(self._filter, "may_contain_many", None)
         if probe is not None:
             maybes = np.asarray(probe(key_list), dtype=bool).tolist()
@@ -221,7 +215,7 @@ class FilteredDictionary:
             if not maybe and i not in cached_absent
         )
         if negatives:
-            queries.labels(outcome="negative").inc(negatives)
+            QUERIES.labels(outcome="negative").inc(negatives)
         for i, (key, maybe) in enumerate(zip(key_list, maybes)):
             if i in cached_absent:
                 continue
@@ -236,20 +230,17 @@ class FilteredDictionary:
             self.stats.disk_reads += 1
             if self._device.exists(("kv", key)):
                 self.stats.positive_hits += 1
-                queries.labels(outcome="hit").inc()
+                QUERIES.labels(outcome="hit").inc()
                 results[i] = self._device.read(("kv", key))
                 continue
             self.stats.false_positives += 1
-            queries.labels(outcome="false_positive").inc()
+            QUERIES.labels(outcome="false_positive").inc()
             if self.negative_cache is not None:
                 self.negative_cache.record_absent(key, self.mutation_epoch)
             if self._adaptive:
                 self._filter.report_false_positive(key)
                 self.stats.adaptations_fed_back += 1
-                default_registry().counter(
-                    "repro_dict_adaptations_total",
-                    "false positives fed back to an adaptive filter",
-                ).inc()
+                ADAPTATIONS.inc()
         return results
 
     def __contains__(self, key: Key) -> bool:

@@ -55,7 +55,7 @@ from repro.common.clock import Answer, DeadlineExceeded, LookupResult
 from repro.common.faults import CircuitOpenError, RetryPolicy, TransientIOError
 from repro.common.storage import BlockDevice, IOStats
 from repro.core.errors import ChecksumError
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import Counter, Family, Gauge, MetricsRegistry
 from repro.obs.tracing import trace
 from repro.core.serialize import dumps as filter_dumps
 from repro.core.serialize import frame, loads as filter_loads, unframe, verify as filter_verify
@@ -188,47 +188,41 @@ class LSMStats:
         return self.wasted_lookup_ios / self.lookups if self.lookups else 0.0
 
 
-class _LSMMetrics:
-    """Handles into the default registry, rebound when it is swapped.
-
-    Metric names follow docs/observability.md: the per-level filter
-    counters are the series ``python -m repro stats`` derives the
-    per-level FP-rate table from.
-    """
-
-    __slots__ = ("registry", "lookups", "io_hit", "io_wasted", "probes", "fps",
-                 "wal_appends", "flushes", "compactions")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.lookups = registry.counter(
-            "repro_lsm_lookups_total", "point lookups served by LSMTree.get"
-        )
-        ios = registry.counter(
-            "repro_lsm_lookup_ios_total", "run reads during lookups, by outcome",
-            labels=("outcome",),
-        )
-        self.io_hit = ios.labels(outcome="hit")
-        self.io_wasted = ios.labels(outcome="wasted")
-        self.probes = registry.counter(
-            "repro_lsm_filter_probes_total",
-            "per-run filter probes during lookups, by level and result",
-            labels=("level", "result"),
-        )
-        self.fps = registry.counter(
-            "repro_lsm_filter_false_positives_total",
-            "filter said maybe but the run did not hold the key, by level",
-            labels=("level",),
-        )
-        self.wal_appends = registry.counter(
-            "repro_lsm_wal_appends_total", "write-ahead-log records appended"
-        )
-        self.flushes = registry.counter(
-            "repro_lsm_flushes_total", "memtable flushes"
-        )
-        self.compactions = registry.counter(
-            "repro_lsm_compactions_total", "run merges (compactions)"
-        )
+# Per-level filter counters are the series ``python -m repro stats``
+# derives the per-level FP-rate table from (docs/observability.md).
+LOOKUPS = Family(Counter, "repro_lsm_lookups_total", "point lookups served by LSMTree.get")
+LOOKUP_IOS = Family(
+    Counter, "repro_lsm_lookup_ios_total", "run reads during lookups, by outcome", ("outcome",)
+)
+IO_HIT = LOOKUP_IOS.child(outcome="hit")
+IO_WASTED = LOOKUP_IOS.child(outcome="wasted")
+FILTER_PROBES = Family(
+    Counter, "repro_lsm_filter_probes_total",
+    "per-run filter probes during lookups, by level and result", ("level", "result"),
+)
+FILTER_FPS = Family(
+    Counter, "repro_lsm_filter_false_positives_total",
+    "filter said maybe but the run did not hold the key, by level", ("level",),
+)
+WAL_APPENDS = Family(Counter, "repro_lsm_wal_appends_total", "write-ahead-log records appended")
+FLUSHES = Family(Counter, "repro_lsm_flushes_total", "memtable flushes")
+COMPACTIONS = Family(Counter, "repro_lsm_compactions_total", "run merges (compactions)")
+FILTER_FP_RATE = Family(
+    Gauge, "repro_lsm_filter_fp_rate", "realised per-level filter false-positive rate",
+    ("level",),
+)
+EXPECTED_SUM_FPR = Family(
+    Gauge, "repro_lsm_expected_sum_fpr", "sum over runs of expected filter FPR"
+)
+WRITE_AMPLIFICATION = Family(
+    Gauge, "repro_lsm_write_amplification", "device bytes written per byte ingested"
+)
+FILTER_BITS_PER_KEY = Family(
+    Gauge, "repro_lsm_filter_bits_per_key", "filter memory over on-disk entries"
+)
+LEVELS = Family(Gauge, "repro_lsm_levels", "populated level count")
+RUNS = Family(Gauge, "repro_lsm_runs", "live run count")
+ENTRIES_ON_DISK = Family(Gauge, "repro_lsm_entries_on_disk", "entries across all runs")
 
 
 @dataclass
@@ -330,13 +324,6 @@ class LSMTree:
             from repro.cache.results import FilterResultCache
 
             self.filter_memo = FilterResultCache(self.config.filter_memo_entries)
-        self._obs: _LSMMetrics | None = None
-
-    def _metrics(self) -> _LSMMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _LSMMetrics(registry)
-        return self._obs
 
     # -- device helpers ---------------------------------------------------------
 
@@ -362,7 +349,7 @@ class LSMTree:
             self.device.write(("wal", self._next_wal_seq), body, size=_ENTRY_BYTES)
             self._wal_pending.append(self._next_wal_seq)
             self._next_wal_seq += 1
-            self._metrics().wal_appends.inc()
+            WAL_APPENDS.inc()
         self._memtable[key] = value
         self.stats.bytes_ingested += _ENTRY_BYTES
         if len(self._memtable) >= self.config.memtable_entries:
@@ -375,7 +362,7 @@ class LSMTree:
     def flush(self) -> None:
         if not self._memtable:
             return
-        self._metrics().flushes.inc()
+        FLUSHES.inc()
         keys = sorted(self._memtable)
         values = [self._memtable[k] for k in keys]
         self._memtable = {}
@@ -597,7 +584,7 @@ class LSMTree:
             values.append(value)
         self._emit_run(dst_level, keys, values)
         self.stats.compactions += 1
-        self._metrics().compactions.inc()
+        COMPACTIONS.inc()
 
     # -- read path -------------------------------------------------------------------
 
@@ -662,8 +649,7 @@ class LSMTree:
         as authoritative — and a filter's one-sided-error contract (no
         false negatives) survives any fault or latency storm.
         """
-        m = self._metrics()
-        m.lookups.inc()
+        LOOKUPS.inc()
         self.stats.lookups += 1
         result = LookupResult(state=Answer.ABSENT)
         if deadline is not None and deadline.expired():
@@ -699,7 +685,7 @@ class LSMTree:
                         # exactly what the filter would answer.  Counted as
                         # a negative probe so FP-rate derivations stay
                         # memo-agnostic; no filter-block I/O is charged.
-                        m.probes.labels(level=level, result="negative").inc()
+                        FILTER_PROBES.labels(level=level, result="negative").inc()
                         continue
                     if not self._charge_filter_read(run):
                         # Filter block unreadable right now: its verdict is
@@ -712,11 +698,11 @@ class LSMTree:
                             maybe = run.filter.may_contain(key)
                             sp.set_tag("maybe", maybe)
                         if not maybe:
-                            m.probes.labels(level=level, result="negative").inc()
+                            FILTER_PROBES.labels(level=level, result="negative").inc()
                             if self.filter_memo is not None:
                                 self.filter_memo.record_negative(run.run_id, key)
                             continue
-                        m.probes.labels(level=level, result="positive").inc()
+                        FILTER_PROBES.labels(level=level, result="positive").inc()
                         filtered = True
             self.stats.lookup_ios += 1
             try:
@@ -730,7 +716,7 @@ class LSMTree:
                 continue
             result.runs_probed += 1
             if found:
-                m.io_hit.inc()
+                IO_HIT.inc()
                 present = value is not TOMBSTONE
                 result.value = value if present else None
                 if result.runs_skipped:
@@ -742,11 +728,11 @@ class LSMTree:
                     result.state = Answer.PRESENT if present else Answer.ABSENT
                 break
             self.stats.wasted_lookup_ios += 1
-            m.io_wasted.inc()
+            IO_WASTED.inc()
             if filtered:
                 # The filter passed a key its run did not hold: a realised
                 # false positive at this level.
-                m.fps.labels(level=str(run.level)).inc()
+                FILTER_FPS.labels(level=str(run.level)).inc()
         else:
             if result.runs_skipped:
                 result.state, result.complete, result.reason = (
@@ -771,15 +757,14 @@ class LSMTree:
 
     def _get_via_maplet(self, key: int) -> tuple[bool, Any]:
         """Maplet-directed lookup: probe only the runs the maplet names."""
-        m = self._metrics()
         for run in self._maplet_candidate_runs(key):
             self.stats.lookup_ios += 1
             found, value = self._read_run(run, key)
             if found:
-                m.io_hit.inc()
+                IO_HIT.inc()
                 return value is not TOMBSTONE, value
             self.stats.wasted_lookup_ios += 1
-            m.io_wasted.inc()
+            IO_WASTED.inc()
         return False, None
 
     def multi_get(self, keys: list[int], default: Any = None,
@@ -808,11 +793,10 @@ class LSMTree:
         this path (one span per batch would be misleading, B spans would
         defeat the batching).
         """
-        m = self._metrics()
         n = len(keys)
         if not n:
             return []
-        m.lookups.inc(n)
+        LOOKUPS.inc(n)
         self.stats.lookups += n
         results: list[Any] = [default] * n
         pending: list[int] = []
@@ -855,7 +839,7 @@ class LSMTree:
                         if self.filter_memo.known_negative(run.run_id, keys[i])
                     }
                     if memoed:
-                        m.probes.labels(level=level, result="negative").inc(
+                        FILTER_PROBES.labels(level=level, result="negative").inc(
                             len(memoed)
                         )
                         batch_idx = [i for i in pending if i not in memoed]
@@ -868,8 +852,8 @@ class LSMTree:
                     batch = [keys[i] for i in batch_idx]
                     mask = run.filter.may_contain_many(batch)
                     positives = int(mask.sum())
-                    m.probes.labels(level=level, result="positive").inc(positives)
-                    m.probes.labels(level=level, result="negative").inc(
+                    FILTER_PROBES.labels(level=level, result="positive").inc(positives)
+                    FILTER_PROBES.labels(level=level, result="negative").inc(
                         len(batch) - positives
                     )
                     candidates = [i for i, hit in zip(batch_idx, mask.tolist()) if hit]
@@ -899,14 +883,14 @@ class LSMTree:
                         results[i] = value
             missed = len(candidates) - len(found_here)
             if found_here:
-                m.io_hit.inc()
+                IO_HIT.inc()
                 remaining = set(found_here)
                 pending = [i for i in pending if i not in remaining]
             else:
                 self.stats.wasted_lookup_ios += 1
-                m.io_wasted.inc()
+                IO_WASTED.inc()
             if filtered and missed:
-                m.fps.labels(level=str(run.level)).inc(missed)
+                FILTER_FPS.labels(level=str(run.level)).inc(missed)
         return results
 
     def _refresh_global_range_filter(self) -> None:
@@ -1303,29 +1287,17 @@ class LSMTree:
         fp)``: probes for keys truly absent from the probed run are its
         filter negatives (never false) plus its confirmed false positives.
         """
-        reg = registry if registry is not None else default_registry()
-        m = self._metrics() if reg is default_registry() else _LSMMetrics(reg)
-        fp_rate = reg.gauge(
-            "repro_lsm_filter_fp_rate",
-            "realised per-level filter false-positive rate", labels=("level",),
-        )
+        probes, fps = FILTER_PROBES.bind(registry), FILTER_FPS.bind(registry)
+        fp_rate = FILTER_FP_RATE.bind(registry)
         for level_index in range(len(self._levels)):
             level = str(level_index)
-            negatives = m.probes.labels(level=level, result="negative").value
-            fps = m.fps.labels(level=level).value
-            absent = negatives + fps
-            fp_rate.labels(level=level).set(fps / absent if absent else 0.0)
-        reg.gauge(
-            "repro_lsm_expected_sum_fpr", "sum over runs of expected filter FPR"
-        ).set(self.sum_of_fprs())
-        reg.gauge(
-            "repro_lsm_write_amplification", "device bytes written per byte ingested"
-        ).set(self.write_amplification)
-        reg.gauge(
-            "repro_lsm_filter_bits_per_key", "filter memory over on-disk entries"
-        ).set(self.filter_bits_per_key)
-        reg.gauge("repro_lsm_levels", "populated level count").set(self.n_levels)
-        reg.gauge("repro_lsm_runs", "live run count").set(self.n_runs)
-        reg.gauge("repro_lsm_entries_on_disk", "entries across all runs").set(
-            self.n_entries_on_disk
-        )
+            negatives = probes.labels(level=level, result="negative").value
+            false_pos = fps.labels(level=level).value
+            absent = negatives + false_pos
+            fp_rate.labels(level=level).set(false_pos / absent if absent else 0.0)
+        EXPECTED_SUM_FPR.bind(registry).set(self.sum_of_fprs())
+        WRITE_AMPLIFICATION.bind(registry).set(self.write_amplification)
+        FILTER_BITS_PER_KEY.bind(registry).set(self.filter_bits_per_key)
+        LEVELS.bind(registry).set(self.n_levels)
+        RUNS.bind(registry).set(self.n_runs)
+        ENTRIES_ON_DISK.bind(registry).set(self.n_entries_on_disk)

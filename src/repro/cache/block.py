@@ -41,7 +41,7 @@ from typing import Any
 
 from repro.common.hashing import splitmix64
 from repro.common.storage import _default_size
-from repro.obs.metrics import MetricsRegistry, WindowedRate, default_registry
+from repro.obs.metrics import Counter, Family, Gauge, WindowedRate
 
 
 @dataclass
@@ -106,38 +106,24 @@ class _FrequencySketch:
         self._touches = 0
 
 
-class _CacheMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
-
-    __slots__ = ("registry", "hits", "misses", "evictions", "invalidations",
-                 "rejects", "storms", "used_bytes")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        requests = registry.counter(
-            "repro_cache_block_requests_total",
-            "block-cache lookups, by result", labels=("result",),
-        )
-        self.hits = requests.labels(result="hit")
-        self.misses = requests.labels(result="miss")
-        self.evictions = registry.counter(
-            "repro_cache_block_evictions_total", "blocks evicted for capacity"
-        )
-        self.invalidations = registry.counter(
-            "repro_cache_block_invalidations_total",
-            "blocks dropped because their address was written or deleted",
-        )
-        self.rejects = registry.counter(
-            "repro_cache_block_admission_rejects_total",
-            "inserts refused by TinyLFU admission",
-        )
-        self.storms = registry.counter(
-            "repro_cache_invalidation_storms_total",
-            "windows where invalidations outpaced the storm threshold",
-        )
-        self.used_bytes = registry.gauge(
-            "repro_cache_block_used_bytes", "bytes currently cached"
-        )
+REQUESTS = Family(
+    Counter, "repro_cache_block_requests_total", "block-cache lookups, by result", ("result",)
+)
+HITS = REQUESTS.child(result="hit")
+MISSES = REQUESTS.child(result="miss")
+EVICTIONS = Family(Counter, "repro_cache_block_evictions_total", "blocks evicted for capacity")
+INVALIDATIONS = Family(
+    Counter, "repro_cache_block_invalidations_total",
+    "blocks dropped because their address was written or deleted",
+)
+ADMISSION_REJECTS = Family(
+    Counter, "repro_cache_block_admission_rejects_total", "inserts refused by TinyLFU admission"
+)
+STORMS = Family(
+    Counter, "repro_cache_invalidation_storms_total",
+    "windows where invalidations outpaced the storm threshold",
+)
+USED_BYTES = Family(Gauge, "repro_cache_block_used_bytes", "bytes currently cached")
 
 
 class BlockCache:
@@ -176,13 +162,6 @@ class BlockCache:
         self._storm = WindowedRate(window=storm_window)
         self._storm_threshold = storm_threshold
         self._in_storm = False
-        self._obs: _CacheMetrics | None = None
-
-    def _metrics(self) -> _CacheMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _CacheMetrics(registry)
-        return self._obs
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -198,10 +177,10 @@ class BlockCache:
         if entry is not None:
             self._entries.move_to_end(address)
             self.stats.hits += 1
-            self._metrics().hits.inc()
+            HITS.inc()
             return True, entry[0]
         self.stats.misses += 1
-        self._metrics().misses.inc()
+        MISSES.inc()
         return False, None
 
     def put(self, address: Any, payload: Any, size: int) -> bool:
@@ -225,7 +204,7 @@ class BlockCache:
             victim = next(iter(self._entries))
             if self._sketch.estimate(address) < self._sketch.estimate(victim):
                 self.stats.admission_rejects += 1
-                self._metrics().rejects.inc()
+                ADMISSION_REJECTS.inc()
                 return False
         self._entries[address] = (payload, size)
         self.used_bytes += size
@@ -234,34 +213,33 @@ class BlockCache:
             _, (_, evicted_size) = self._entries.popitem(last=False)
             self.used_bytes -= evicted_size
             self.stats.evictions += 1
-            self._metrics().evictions.inc()
-        self._metrics().used_bytes.set(self.used_bytes)
+            EVICTIONS.inc()
+        USED_BYTES.set(self.used_bytes)
         return True
 
     def invalidate(self, address: Any) -> bool:
         """Drop *address* (its device block was overwritten or deleted)."""
         entry = self._entries.pop(address, None)
-        m = self._metrics()
         rate = self._storm.record(self.stats.requests)
         if rate > self._storm_threshold:
             if not self._in_storm:
                 self._in_storm = True
-                m.storms.inc()
+                STORMS.inc()
         else:
             self._in_storm = False
         if entry is None:
             return False
         self.used_bytes -= entry[1]
         self.stats.invalidations += 1
-        m.invalidations.inc()
-        m.used_bytes.set(self.used_bytes)
+        INVALIDATIONS.inc()
+        USED_BYTES.set(self.used_bytes)
         return True
 
     def clear(self) -> None:
         """Drop everything (a crash: the cache is volatile by definition)."""
         self._entries.clear()
         self.used_bytes = 0
-        self._metrics().used_bytes.set(0)
+        USED_BYTES.set(0)
 
 
 class CachedDevice:

@@ -27,42 +27,24 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import Counter, Family
 
-
-class _ResultMetrics:
-    """Default-registry handles, rebound when the registry is swapped."""
-
-    __slots__ = ("registry", "memo_hits", "memo_misses", "neg_hits",
-                 "neg_misses", "neg_flushes")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        memo = registry.counter(
-            "repro_cache_filter_memo_total",
-            "per-run negative-verdict memo lookups, by result",
-            labels=("result",),
-        )
-        self.memo_hits = memo.labels(result="hit")
-        self.memo_misses = memo.labels(result="miss")
-        neg = registry.counter(
-            "repro_cache_negative_lookups_total",
-            "negative-lookup cache consults, by result",
-            labels=("result",),
-        )
-        self.neg_hits = neg.labels(result="hit")
-        self.neg_misses = neg.labels(result="miss")
-        self.neg_flushes = registry.counter(
-            "repro_cache_negative_epoch_flushes_total",
-            "negative-lookup cache wipes triggered by a mutation-epoch bump",
-        )
-
-
-def _result_metrics(holder) -> _ResultMetrics:
-    registry = default_registry()
-    if holder._obs is None or holder._obs.registry is not registry:
-        holder._obs = _ResultMetrics(registry)
-    return holder._obs
+FILTER_MEMO = Family(
+    Counter, "repro_cache_filter_memo_total",
+    "per-run negative-verdict memo lookups, by result", ("result",),
+)
+MEMO_HITS = FILTER_MEMO.child(result="hit")
+MEMO_MISSES = FILTER_MEMO.child(result="miss")
+NEGATIVE_LOOKUPS = Family(
+    Counter, "repro_cache_negative_lookups_total", "negative-lookup cache consults, by result",
+    ("result",),
+)
+NEGATIVE_HITS = NEGATIVE_LOOKUPS.child(result="hit")
+NEGATIVE_MISSES = NEGATIVE_LOOKUPS.child(result="miss")
+EPOCH_FLUSHES = Family(
+    Counter, "repro_cache_negative_epoch_flushes_total",
+    "negative-lookup cache wipes triggered by a mutation-epoch bump",
+)
 
 
 class FilterResultCache:
@@ -84,21 +66,19 @@ class FilterResultCache:
         self._entries: OrderedDict[tuple[int, Hashable], None] = OrderedDict()
         # Per-run secondary index so drop_run is O(|run's entries|).
         self._by_run: dict[int, set[Hashable]] = {}
-        self._obs: _ResultMetrics | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def known_negative(self, run_id: int, key: Hashable) -> bool:
         entry_key = (run_id, key)
-        m = _result_metrics(self)
         if entry_key in self._entries:
             self._entries.move_to_end(entry_key)
             self.hits += 1
-            m.memo_hits.inc()
+            MEMO_HITS.inc()
             return True
         self.misses += 1
-        m.memo_misses.inc()
+        MEMO_MISSES.inc()
         return False
 
     def record_negative(self, run_id: int, key: Hashable) -> None:
@@ -149,7 +129,6 @@ class NegativeLookupCache:
         self.epoch_flushes = 0
         self._epoch: Any = None
         self._entries: OrderedDict[Hashable, None] = OrderedDict()
-        self._obs: _ResultMetrics | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -159,19 +138,18 @@ class NegativeLookupCache:
             if self._entries:
                 self._entries.clear()
                 self.epoch_flushes += 1
-                _result_metrics(self).neg_flushes.inc()
+                EPOCH_FLUSHES.inc()
             self._epoch = epoch
 
     def known_absent(self, key: Hashable, epoch: Any) -> bool:
         self._sync_epoch(epoch)
-        m = _result_metrics(self)
         if key in self._entries:
             self._entries.move_to_end(key)
             self.hits += 1
-            m.neg_hits.inc()
+            NEGATIVE_HITS.inc()
             return True
         self.misses += 1
-        m.neg_misses.inc()
+        NEGATIVE_MISSES.inc()
         return False
 
     def record_absent(self, key: Hashable, epoch: Any) -> None:

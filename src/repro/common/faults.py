@@ -36,8 +36,26 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.storage import BlockDevice, IOStats, _default_size
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Histogram
 from repro.obs.tracing import trace
+
+FAULTS = Family(
+    Counter, "repro_device_faults_total", "faults injected by FaultyBlockDevice, by kind",
+    ("kind",),
+)
+LATENCY_SPIKES = Family(
+    Counter, "repro_device_latency_spikes_total", "latency spikes injected by LatencyInjector"
+)
+RETRY_ATTEMPTS = Family(
+    Counter, "repro_retry_attempts_total", "retry-policy call attempts, by outcome",
+    ("outcome",),
+)
+RETRY_OK = RETRY_ATTEMPTS.child(outcome="ok")
+RETRY_RETRY = RETRY_ATTEMPTS.child(outcome="retry")
+RETRY_GIVEUP = RETRY_ATTEMPTS.child(outcome="giveup")
+RETRY_BACKOFF = Family(
+    Histogram, "repro_retry_backoff_seconds", "simulated exponential-backoff delay per retry"
+)
 
 
 class TransientIOError(OSError):
@@ -102,15 +120,6 @@ class FaultStats:
     @property
     def total(self) -> int:
         return self.bit_flips + self.torn_writes + self.lost_writes + self.transient_reads
-
-
-def _count_fault(kind: str) -> None:
-    """Mirror one injected fault into the default metrics registry."""
-    default_registry().counter(
-        "repro_device_faults_total",
-        "faults injected by FaultyBlockDevice, by kind",
-        labels=("kind",),
-    ).labels(kind=kind).inc()
 
 
 class FaultInjector:
@@ -224,7 +233,7 @@ class FaultInjector:
             self._crash_at = None
             self._fired_crashes.add(step_name)
             self.crashes += 1
-            _count_fault("crash")
+            FAULTS.labels(kind="crash").inc()
             raise SimulatedCrash(step_name)
 
 
@@ -293,10 +302,7 @@ class LatencyInjector:
         if self.spike_prob and self._rng.random() < self.spike_prob:
             latency *= self.spike_scale
             self.stats.spikes += 1
-            default_registry().counter(
-                "repro_device_latency_spikes_total",
-                "latency spikes injected by LatencyInjector",
-            ).inc()
+            LATENCY_SPIKES.inc()
         self.stats.operations += 1
         self.stats.total_seconds += latency
         return latency
@@ -362,7 +368,7 @@ class FaultyBlockDevice:
         if action == "lost":
             self.injector.stats.lost_writes += 1
             self.fault_log.append(("lost", address))
-            _count_fault("lost_write")
+            FAULTS.labels(kind="lost_write").inc()
             # Charge the I/O without storing: the old block (if any) survives.
             self.inner._count_write(size)
             return
@@ -370,7 +376,7 @@ class FaultyBlockDevice:
             payload = self.injector.flip_payload(bytes(payload))
             self.injector.stats.bit_flips += 1
             self.fault_log.append(("flip", address))
-            _count_fault("bit_flip")
+            FAULTS.labels(kind="bit_flip").inc()
             self.inner.write(address, payload, size=size)
             self._corrupt.add(address)
             return
@@ -378,7 +384,7 @@ class FaultyBlockDevice:
             payload = self.injector.tear_payload(bytes(payload))
             self.injector.stats.torn_writes += 1
             self.fault_log.append(("torn", address))
-            _count_fault("torn_write")
+            FAULTS.labels(kind="torn_write").inc()
             self.inner.write(address, payload, size=size)
             self._corrupt.add(address)
             return
@@ -390,7 +396,7 @@ class FaultyBlockDevice:
         if self.injector.draw_read(address):
             self.injector.stats.transient_reads += 1
             self.fault_log.append(("transient", address))
-            _count_fault("transient_read")
+            FAULTS.labels(kind="transient_read").inc()
             raise TransientIOError(f"transient read failure at address {address!r}")
         return self.inner.read(address)
 
@@ -404,7 +410,7 @@ class FaultyBlockDevice:
         block.payload = self.injector.flip_payload(bytes(block.payload))
         self.injector.stats.bit_flips += 1
         self.fault_log.append(("ruin", address))
-        _count_fault("bit_flip")
+        FAULTS.labels(kind="bit_flip").inc()
         self._corrupt.add(address)
 
     def delete(self, address: Any, missing_ok: bool = True) -> None:
@@ -491,31 +497,23 @@ class RetryPolicy:
         return self._prev_backoff
 
     def call(self, fn: Callable, *args, **kwargs):
-        registry = default_registry()
-        attempts = registry.counter(
-            "repro_retry_attempts_total", "retry-policy call attempts, by outcome",
-            labels=("outcome",),
-        )
         for attempt in range(self.max_attempts):
             self.stats.attempts += 1
             try:
                 with trace("retry.attempt", attempt=attempt):
                     result = fn(*args, **kwargs)
-                attempts.labels(outcome="ok").inc()
+                RETRY_OK.inc()
                 return result
             except TransientIOError:
                 if attempt + 1 == self.max_attempts:
                     self.stats.giveups += 1
-                    attempts.labels(outcome="giveup").inc()
+                    RETRY_GIVEUP.inc()
                     raise
                 self.stats.retries += 1
-                attempts.labels(outcome="retry").inc()
+                RETRY_RETRY.inc()
                 backoff = self.next_backoff(attempt)
                 self.stats.backoff_seconds += backoff
                 if self.clock is not None:
                     self.clock.advance(backoff)
-                registry.histogram(
-                    "repro_retry_backoff_seconds",
-                    "simulated exponential-backoff delay per retry",
-                ).observe(backoff)
+                RETRY_BACKOFF.observe(backoff)
         raise AssertionError("unreachable")  # pragma: no cover

@@ -10,8 +10,8 @@ increments process-wide counters in the default
 :class:`~repro.obs.metrics.MetricsRegistry` (``repro_device_reads_total``,
 ``repro_device_writes_total``, ``repro_device_bytes_{read,written}_total``),
 so device traffic shows up in ``python -m repro stats`` without any
-plumbing.  Counter handles are rebound when the default registry is
-swapped (tests scope registries with ``obs.use_registry()``).
+plumbing.  The counters follow a swapped default registry (tests scope
+registries with ``obs.use_registry()``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import Counter, Family
 
 
 @dataclass
@@ -59,25 +59,10 @@ class IOStats:
         return IOStats(**{k: v + theirs[k] for k, v in self.as_dict().items()})
 
 
-class _DeviceMetrics:
-    """Default-registry counter handles, rebound on registry swap."""
-
-    __slots__ = ("registry", "reads", "writes", "bytes_read", "bytes_written")
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.reads = registry.counter(
-            "repro_device_reads_total", "block reads across all simulated devices"
-        )
-        self.writes = registry.counter(
-            "repro_device_writes_total", "block writes across all simulated devices"
-        )
-        self.bytes_read = registry.counter(
-            "repro_device_bytes_read_total", "simulated bytes read"
-        )
-        self.bytes_written = registry.counter(
-            "repro_device_bytes_written_total", "simulated bytes written"
-        )
+READS = Family(Counter, "repro_device_reads_total", "block reads across all simulated devices")
+WRITES = Family(Counter, "repro_device_writes_total", "block writes across all simulated devices")
+BYTES_READ = Family(Counter, "repro_device_bytes_read_total", "simulated bytes read")
+BYTES_WRITTEN = Family(Counter, "repro_device_bytes_written_total", "simulated bytes written")
 
 
 @dataclass
@@ -96,13 +81,6 @@ class BlockDevice:
     def __init__(self):
         self._blocks: dict[Any, _Block] = {}
         self.stats = IOStats()
-        self._obs: _DeviceMetrics | None = None
-
-    def _metrics(self) -> _DeviceMetrics:
-        registry = default_registry()
-        if self._obs is None or self._obs.registry is not registry:
-            self._obs = _DeviceMetrics(registry)
-        return self._obs
 
     def write(self, address: Any, payload: Any, size: int | None = None) -> None:
         """Write *payload* at *address*; counts one device write."""
@@ -114,9 +92,8 @@ class BlockDevice:
     def _count_write(self, size: int) -> None:
         self.stats.writes += 1
         self.stats.bytes_written += size
-        m = self._metrics()
-        m.writes.inc()
-        m.bytes_written.inc(size)
+        WRITES.inc()
+        BYTES_WRITTEN.inc(size)
 
     def read(self, address: Any) -> Any:
         """Read the block at *address*; counts one device read."""
@@ -125,9 +102,8 @@ class BlockDevice:
             raise KeyError(f"no block at address {address!r}")
         self.stats.reads += 1
         self.stats.bytes_read += block.size
-        m = self._metrics()
-        m.reads.inc()
-        m.bytes_read.inc(block.size)
+        READS.inc()
+        BYTES_READ.inc(block.size)
         return block.payload
 
     def delete(self, address: Any, missing_ok: bool = True) -> None:

@@ -13,17 +13,20 @@ Quickstart
 ...     reg.counter("repro_demo_total", "demo").inc()
 ...     print(obs.to_prometheus(reg))  # doctest: +SKIP
 
-Library code emits into :func:`default_registry`; the CLI surface is
+Library code declares each family once as a :class:`Family` constant and
+emits into :func:`default_registry`; the CLI surface is
 ``python -m repro stats`` and ``python -m repro trace``.
 """
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    Family,
     Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
+    declared_families,
     default_registry,
     log_buckets,
     registry_from_snapshot,
@@ -56,6 +59,7 @@ from repro.obs.export import (
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
+    "Family",
     "Gauge",
     "Histogram",
     "InstrumentedFilter",
@@ -64,6 +68,7 @@ __all__ = [
     "Span",
     "TraceRecorder",
     "current_span",
+    "declared_families",
     "default_registry",
     "flat_samples",
     "from_json",

@@ -12,13 +12,15 @@ Three views of one :class:`~repro.obs.metrics.MetricsRegistry`:
 
 :func:`selftest` is the CI gate (``python -m repro stats --selftest``):
 it exercises duplicate-registration detection, name validation, and both
-exporter round-trips, and audits a live registry's names.
+exporter round-trips, and audits every declared family and a live
+registry's names.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 from repro.obs.metrics import (
     Counter,
@@ -26,6 +28,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    declared_families,
     registry_from_snapshot,
     validate_label_name,
     validate_metric_name,
@@ -85,6 +88,12 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One ``name="value"`` pair; the value may hold escaped quotes and backslashes.
+_LABEL_PAIR = re.compile(r'\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*=\s*"((?:[^"\\]|\\.)*)"\s*(?:,|$)')
+_ESCAPE = re.compile(r"\\(.)")
+_UNESCAPED = {"\\": "\\", '"': '"', "n": "\n"}
+
+
 def parse_prometheus(text: str) -> dict[str, dict[tuple[tuple[str, str], ...], float]]:
     """Parse exposition text back into ``{name: {labels-items: value}}``.
 
@@ -100,14 +109,7 @@ def parse_prometheus(text: str) -> dict[str, dict[tuple[tuple[str, str], ...], f
         if "{" in line:
             name, rest = line.split("{", 1)
             labelpart, valuepart = rest.rsplit("}", 1)
-            labels = []
-            for item in _split_labels(labelpart):
-                key, value = item.split("=", 1)
-                value = value.strip()[1:-1]  # strip quotes
-                labels.append(
-                    (key.strip(), value.replace('\\"', '"').replace("\\\\", "\\"))
-                )
-            key = tuple(sorted(labels))
+            key = tuple(sorted(_parse_labels(labelpart, raw)))
             value_str = valuepart.strip()
         else:
             parts = line.split()
@@ -120,18 +122,18 @@ def parse_prometheus(text: str) -> dict[str, dict[tuple[tuple[str, str], ...], f
     return samples
 
 
-def _split_labels(labelpart: str) -> list[str]:
-    """Split ``a="x",b="y,z"`` on commas outside quotes."""
-    items, depth, start = [], False, 0
-    for i, ch in enumerate(labelpart):
-        if ch == '"' and (i == 0 or labelpart[i - 1] != "\\"):
-            depth = not depth
-        elif ch == "," and not depth:
-            items.append(labelpart[start:i])
-            start = i + 1
-    if labelpart[start:].strip():
-        items.append(labelpart[start:])
-    return items
+def _parse_labels(labelpart: str, raw: str) -> list[tuple[str, str]]:
+    """``a="x",b="y\\"z"`` as pairs, each value unescaped in one
+    left-to-right pass (so ``\\\\`` before a quote cannot escape it)."""
+    labels, pos = [], 0
+    while pos < len(labelpart.rstrip()):
+        match = _LABEL_PAIR.match(labelpart, pos)
+        if match is None:
+            raise ValueError(f"unparseable labels in exposition line: {raw!r}")
+        value = _ESCAPE.sub(lambda m: _UNESCAPED.get(m.group(1), m.group(0)), match[2])
+        labels.append((match[1], value))
+        pos = match.end()
+    return labels
 
 
 def flat_samples(registry: MetricsRegistry) -> dict[str, dict[tuple[tuple[str, str], ...], float]]:
@@ -220,10 +222,19 @@ def selftest(registry: MetricsRegistry | None = None) -> list[str]:
     Prometheus metric and label names are rejected; histogram bounds are
     strictly increasing; the Prometheus exporter's output parses back to
     exactly the registry's samples; the JSON exporter round-trips to an
-    identical snapshot.  When *registry* is given, additionally audits
-    every registered name and label name in it.
+    identical snapshot.  Every family the library declares binds into one
+    fresh registry: a valid name and labels, and no name declared twice
+    with a different kind, label set or buckets.  When *registry* is
+    given, additionally audits every registered name and label name in it.
     """
     failures: list[str] = []
+
+    declared = MetricsRegistry()
+    for family in declared_families():
+        try:
+            family.bind(declared)
+        except MetricError as exc:
+            failures.append(f"declared family {family.name!r}: {exc}")
 
     scratch = MetricsRegistry()
     c = scratch.counter("repro_selftest_events_total", "events", labels=("kind",))

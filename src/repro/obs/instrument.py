@@ -29,8 +29,33 @@ from typing import Callable, Container
 import numpy as np
 
 from repro.core.interfaces import Key, KeyBatch, as_key_list
-from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.obs.metrics import (
+    Counter,
+    Family,
+    Histogram,
+    MetricsRegistry,
+    default_registry,
+)
 
+PROBES = Family(
+    Counter, "repro_filter_probes_total", "membership probes against instrumented filters",
+    ("filter", "result"),
+)
+FALSE_POSITIVES = Family(
+    Counter, "repro_filter_false_positives_total",
+    "positive probes contradicted by supplied ground truth", ("filter",),
+)
+INSERTS = Family(
+    Counter, "repro_filter_inserts_total", "keys inserted through instrumented filters",
+    ("filter",),
+)
+DELETES = Family(
+    Counter, "repro_filter_deletes_total", "keys deleted through instrumented filters",
+    ("filter",),
+)
+INSERT_SECONDS = Family(
+    Histogram, "repro_filter_insert_seconds", "wall-clock insert latency", ("filter",)
+)
 
 class InstrumentedFilter:
     """Transparent observing proxy around a point filter.
@@ -54,33 +79,13 @@ class InstrumentedFilter:
         self.name = name or type(inner).__name__
         reg = registry if registry is not None else default_registry()
         self.registry = reg
-        probes = reg.counter(
-            "repro_filter_probes_total",
-            "membership probes against instrumented filters",
-            labels=("filter", "result"),
-        )
+        probes = PROBES.bind(reg)
         self._positive = probes.labels(filter=self.name, result="positive")
         self._negative = probes.labels(filter=self.name, result="negative")
-        self._false_pos = reg.counter(
-            "repro_filter_false_positives_total",
-            "positive probes contradicted by supplied ground truth",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._inserts = reg.counter(
-            "repro_filter_inserts_total",
-            "keys inserted through instrumented filters",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._deletes = reg.counter(
-            "repro_filter_deletes_total",
-            "keys deleted through instrumented filters",
-            labels=("filter",),
-        ).labels(filter=self.name)
-        self._insert_seconds = reg.histogram(
-            "repro_filter_insert_seconds",
-            "wall-clock insert latency",
-            labels=("filter",),
-        ).labels(filter=self.name)
+        self._false_pos = FALSE_POSITIVES.bind(reg).labels(filter=self.name)
+        self._inserts = INSERTS.bind(reg).labels(filter=self.name)
+        self._deletes = DELETES.bind(reg).labels(filter=self.name)
+        self._insert_seconds = INSERT_SECONDS.bind(reg).labels(filter=self.name)
         if ground_truth is None:
             self._truth = None
         elif callable(ground_truth):

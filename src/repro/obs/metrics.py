@@ -17,7 +17,9 @@ same name twice with a different type or label set raises
 
 A process-wide *default registry* (:func:`default_registry`) lets
 library code emit metrics without threading a registry through every
-constructor; tests swap it with :func:`use_registry`.
+constructor; tests swap it with :func:`use_registry`.  Library code
+declares each family once as a :class:`Family` module constant, which
+follows whichever registry is the default when it emits.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -60,6 +63,7 @@ class _Metric:
         self.labelnames = tuple(validate_label_name(l) for l in labels)
         self._lock = threading.Lock()
         self._series: dict[tuple[str, ...], object] = {}
+        self._child = None  # the one series of an unlabelled family
 
     def _label_key(self, kwargs: dict) -> tuple[str, ...]:
         if set(kwargs) != set(self.labelnames):
@@ -78,9 +82,12 @@ class _Metric:
         return child
 
     def _default_child(self):
-        if self.labelnames:
-            raise MetricError(f"{self.name} is labelled: call .labels(...) first")
-        return self.labels()
+        child = self._child
+        if child is None:
+            if self.labelnames:
+                raise MetricError(f"{self.name} is labelled: call .labels(...) first")
+            child = self._child = self.labels()
+        return child
 
     def _new_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -187,8 +194,6 @@ class _HistogramChild:
         self.count = 0
 
     def observe(self, value: float) -> None:
-        from bisect import bisect_left
-
         i = bisect_left(self.bounds, value)
         with self._lock:
             self.counts[i] += 1
@@ -326,6 +331,8 @@ class MetricsRegistry:
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: dict[str, _Metric] = {}
+        # Declaration (Family or Family.child) -> its metric or series here.
+        self._bound: dict = {}
 
     def _get_or_create(self, cls, name, help, labels, **kwargs) -> _Metric:
         metric = self._metrics.get(name)
@@ -376,10 +383,6 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return [m.name for m in self.metrics()]
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
 
     def snapshot(self) -> dict:
         """JSON-serializable dump of every series (the JSON export body)."""
@@ -466,3 +469,87 @@ def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsReg
         yield registry
     finally:
         set_default_registry(previous)
+
+
+# -- declared families -------------------------------------------------------------
+
+
+class Family:
+    """One metric family, declared once as a module constant.
+
+    ``Family(Counter, name, help, labels)`` holds the family's shape and
+    nothing else.  :meth:`bind` resolves it against a registry (default:
+    the current default registry), and that registry caches the bound
+    metric, so a registry swapped in with :func:`use_registry` gets its
+    own series with no state kept on the declaration.  :meth:`child`
+    declares one fixed-label series, bound once per registry the same
+    way, for hot paths that must not call ``labels()`` per event.
+    """
+
+    __slots__ = ("cls", "name", "help", "labelnames", "buckets")
+
+    def __init__(self, cls, name: str, help: str, labels: tuple[str, ...] = (),
+                 buckets: tuple[float, ...] | None = None):
+        self.cls, self.name, self.help = cls, name, help
+        self.labelnames = tuple(labels)
+        self.buckets = buckets or (DEFAULT_BUCKETS if cls is Histogram else None)
+
+    def bind(self, registry: MetricsRegistry | None = None) -> _Metric:
+        reg = _default if registry is None else registry
+        metric = reg._bound.get(self)
+        if metric is None:
+            extra = {} if self.buckets is None else {"buckets": self.buckets}
+            metric = reg._bound[self] = reg._get_or_create(
+                self.cls, self.name, self.help, self.labelnames, **extra
+            )
+        return metric
+
+    def labels(self, **labels):
+        return self.bind().labels(**labels)
+
+    def child(self, **labels) -> "_DeclaredChild":
+        return _DeclaredChild(self, labels)
+
+    def inc(self, amount: float = 1) -> None:
+        (_default._bound.get(self) or self.bind()).inc(amount)
+
+    def set(self, value: float) -> None:
+        (_default._bound.get(self) or self.bind()).set(value)
+
+    def observe(self, value: float) -> None:
+        (_default._bound.get(self) or self.bind()).observe(value)
+
+
+class _DeclaredChild:
+    """One series of a :class:`Family`, label values fixed at declaration."""
+
+    __slots__ = ("family", "labels")
+
+    def __init__(self, family: Family, labels: dict[str, str]):
+        self.family, self.labels = family, labels
+
+    def bind(self, registry: MetricsRegistry | None = None):
+        reg = _default if registry is None else registry
+        child = reg._bound.get(self)
+        if child is None:
+            child = reg._bound[self] = self.family.bind(reg).labels(**self.labels)
+        return child
+
+    def inc(self, amount: float = 1) -> None:
+        (_default._bound.get(self) or self.bind()).inc(amount)
+
+
+def declared_families() -> list[Family]:
+    """Every :class:`Family` a ``repro`` module holds as a module constant,
+    whether or not anything has emitted it yet."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    found: dict[int, Family] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, Family):
+                found[id(value)] = value
+    return list(found.values())

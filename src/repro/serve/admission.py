@@ -22,7 +22,15 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Histogram
+
+QUEUE_DELAY = Family(
+    Histogram, "repro_serve_queue_delay_seconds", "simulated queueing delay at admission time"
+)
+SHED = Family(
+    Counter, "repro_serve_shed_total", "requests shed at admission, by priority and reason",
+    ("priority", "reason"),
+)
 
 
 class Priority(enum.IntEnum):
@@ -139,10 +147,7 @@ class AdmissionController:
         self, arrival: float, priority: Priority, *, tenant: Any = None
     ) -> AdmissionDecision:
         delay = self.queue_delay(arrival)
-        default_registry().histogram(
-            "repro_serve_queue_delay_seconds",
-            "simulated queueing delay at admission time",
-        ).observe(delay)
+        QUEUE_DELAY.observe(delay)
         reason = None
         if delay > self.config.delay_budgets[priority]:
             reason = "queue_delay"
@@ -163,11 +168,7 @@ class AdmissionController:
                 self.stats.shed_by_tenant[tenant] = (
                     self.stats.shed_by_tenant.get(tenant, 0) + 1
                 )
-            default_registry().counter(
-                "repro_serve_shed_total",
-                "requests shed at admission, by priority and reason",
-                labels=("priority", "reason"),
-            ).labels(priority=priority.name.lower(), reason=reason).inc()
+            SHED.labels(priority=priority.name.lower(), reason=reason).inc()
             return AdmissionDecision(False, delay, reason)
         self.stats.admitted += 1
         return AdmissionDecision(True, delay)

@@ -33,7 +33,15 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.common.faults import CircuitOpenError, TransientIOError
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family
+
+TRANSITIONS = Family(
+    Counter, "repro_breaker_transitions_total",
+    "circuit-breaker state transitions, by destination state", ("to",),
+)
+FAST_FAILS = Family(
+    Counter, "repro_breaker_fast_fails_total", "reads refused instantly by an open circuit breaker"
+)
 
 
 class BreakerState(enum.Enum):
@@ -84,11 +92,7 @@ class CircuitBreaker:
 
     def _transition(self, to: BreakerState) -> None:
         self.transitions.append((self.clock.now(), self.state, to))
-        default_registry().counter(
-            "repro_breaker_transitions_total",
-            "circuit-breaker state transitions, by destination state",
-            labels=("to",),
-        ).labels(to=to.value).inc()
+        TRANSITIONS.labels(to=to.value).inc()
         self.state = to
 
     def _open(self) -> None:
@@ -170,10 +174,7 @@ class BreakerDevice:
     def read(self, address: Any) -> Any:
         breaker = self.breaker_for(address)
         if not breaker.allow():
-            default_registry().counter(
-                "repro_breaker_fast_fails_total",
-                "reads refused instantly by an open circuit breaker",
-            ).inc()
+            FAST_FAILS.inc()
             raise CircuitOpenError(
                 f"circuit open for address {address!r}; fast-failing read"
             )

@@ -77,7 +77,7 @@ from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
 from repro.core.serialize import frame, unframe
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Gauge
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.breaker import BreakerDevice
 from repro.serve.sim import (
@@ -87,6 +87,38 @@ from repro.serve.sim import (
     _serving_rig,
     _tree_retry,
     run_storm,
+)
+
+SUSPICION = Family(
+    Gauge, "repro_replica_suspicion", "failure-detector suspicion level per replica",
+    ("replica",),
+)
+NODE_EVENTS = Family(
+    Counter, "repro_replica_node_events_total", "replica lifecycle events (kill/heal/taint)",
+    ("event",),
+)
+QUORUM_OUTCOMES = Family(
+    Counter, "repro_replica_quorum_outcomes_total", "replicated lookups by combine-rule outcome",
+    ("outcome",),
+)
+HANDOFF_BACKLOG = Family(
+    Gauge, "repro_replica_handoff_backlog", "hints journaled but not yet replayed"
+)
+NODES = Family(Gauge, "repro_replica_nodes", "replica nodes by state", ("state",))
+HINTS = Family(
+    Counter, "repro_replica_hints_total", "hinted-handoff records, by action", ("action",)
+)
+REPAIR_SHEDS = Family(
+    Counter, "repro_replica_repair_sheds_total", "anti-entropy pumps shed by admission control"
+)
+REPAIRS = Family(
+    Counter, "repro_replica_repairs_total", "anti-entropy repair records, by action", ("action",)
+)
+REPAIR_BYTES = Family(
+    Gauge, "repro_replica_repair_bytes", "serialized bytes streamed by anti-entropy repair"
+)
+REPAIR_ROUNDS = Family(
+    Gauge, "repro_replica_repair_rounds", "anti-entropy snapshot rounds started"
 )
 
 _META_NS = "replmeta"
@@ -161,11 +193,7 @@ class FailureDetector:
         return self.suspicion(node_id) > threshold
 
     def publish_gauges(self, node_ids) -> None:
-        gauge = default_registry().gauge(
-            "repro_replica_suspicion",
-            "failure-detector suspicion level per replica",
-            labels=("replica",),
-        )
+        gauge = SUSPICION.bind()
         for node_id in node_ids:
             gauge.labels(replica=f"r{node_id}").set(self.suspicion(node_id))
 
@@ -368,7 +396,7 @@ class ReplicatedStore:
                 node = store._open_node(node_id)
                 node.alive = False
                 node.tainted = True
-                store._count_node_event("boot_taint")
+                NODE_EVENTS.labels(event="boot_taint").inc()
                 continue
             node.alive = node_id in alive
             node.tainted = node_id in tainted
@@ -380,7 +408,7 @@ class ReplicatedStore:
             except (TransientIOError, CircuitOpenError, ChecksumError):
                 node.alive = False
                 node.tainted = True
-                store._count_node_event("boot_taint")
+                NODE_EVENTS.labels(event="boot_taint").inc()
         # The durable floor keeps sequences strictly monotone even when
         # the highest-seq record lives only on a boot-tainted replica we
         # could not scan — without it, post-crash writes could reuse
@@ -410,7 +438,7 @@ class ReplicatedStore:
             node.tree.retry = self._node_retry(node_id)
         else:
             self._write_state_manifest()
-        self._count_node_event("kill_wipe" if wipe else "kill")
+        NODE_EVENTS.labels(event="kill_wipe" if wipe else "kill").inc()
 
     def heal(self, node_id: int) -> None:
         """Bring a replica back: recover its tree from its namespace (WAL
@@ -428,7 +456,7 @@ class ReplicatedStore:
         self.detector.heartbeat(node_id)
         self._epoch_base += 1  # conservatively invalidate memoized ABSENTs
         self._write_state_manifest()
-        self._count_node_event("heal")
+        NODE_EVENTS.labels(event="heal").inc()
 
     def set_tainted(self, node_id: int, tainted: bool) -> None:
         node = self.nodes[node_id]
@@ -436,15 +464,7 @@ class ReplicatedStore:
             return
         node.tainted = tainted
         self._write_state_manifest()
-        self._count_node_event("taint" if tainted else "taint_cleared")
-
-    @staticmethod
-    def _count_node_event(event: str) -> None:
-        default_registry().counter(
-            "repro_replica_node_events_total",
-            "replica lifecycle events (kill/heal/taint)",
-            labels=("event",),
-        ).labels(event=event).inc()
+        NODE_EVENTS.labels(event="taint" if tainted else "taint_cleared").inc()
 
     # -- writes ------------------------------------------------------------------
 
@@ -545,7 +565,7 @@ class ReplicatedStore:
         eligible replicas, where a tombstone counts as absence evidence.
         Everything else is MAYBE, with the usual reasons.
         """
-        self._count_outcome("lookups")
+        QUORUM_OUTCOMES.labels(outcome="lookups").inc()
         absent_votes = 0
         probed = skipped = 0
         reasons: list[str] = []
@@ -567,7 +587,7 @@ class ReplicatedStore:
                 self.detector.heartbeat(node_id)
             if result.complete and result.state is Answer.PRESENT:
                 if not _is_tombstone(result.value):
-                    self._count_outcome("present")
+                    QUORUM_OUTCOMES.labels(outcome="present").inc()
                     value = result.value["v"] if isinstance(result.value, dict) \
                         else result.value
                     return LookupResult(
@@ -584,12 +604,12 @@ class ReplicatedStore:
             else:
                 reasons.append(result.reason or "unavailable")
             if absent_votes >= self.read_quorum:
-                self._count_outcome("absent")
+                QUORUM_OUTCOMES.labels(outcome="absent").inc()
                 return LookupResult(
                     Answer.ABSENT, None, complete=True,
                     runs_probed=probed, runs_skipped=skipped,
                 )
-        self._count_outcome("maybe")
+        QUORUM_OUTCOMES.labels(outcome="maybe").inc()
         if "deadline" in reasons:
             reason = "deadline"
         elif "unavailable" in reasons:
@@ -605,14 +625,6 @@ class ReplicatedStore:
         result = self.lookup(key)
         return result.value if result.state is Answer.PRESENT else default
 
-    @staticmethod
-    def _count_outcome(outcome: str) -> None:
-        default_registry().counter(
-            "repro_replica_quorum_outcomes_total",
-            "replicated lookups by combine-rule outcome",
-            labels=("outcome",),
-        ).labels(outcome=outcome).inc()
-
     # -- maintenance -------------------------------------------------------------
 
     def checkpoint(self) -> None:
@@ -621,13 +633,8 @@ class ReplicatedStore:
                 node.tree.checkpoint()
 
     def publish_gauges(self) -> None:
-        registry = default_registry()
-        registry.gauge(
-            "repro_replica_handoff_backlog", "hints journaled but not yet replayed"
-        ).set(self.handoff.pending())
-        by_state = registry.gauge(
-            "repro_replica_nodes", "replica nodes by state", labels=("state",)
-        )
+        HANDOFF_BACKLOG.set(self.handoff.pending())
+        by_state = NODES.bind()
         by_state.labels(state="alive").set(
             sum(1 for n in self.nodes.values() if n.alive)
         )
@@ -699,12 +706,12 @@ class HintedHandoff:
         except (TransientIOError, ChecksumError, KeyError):
             self.dropped += 1
             self.store.set_tainted(node_id, True)
-            self._count("dropped")
+            HINTS.labels(action="dropped").inc()
             return
         self.journaled += 1
         if self._pending is not None:
             self._pending[node_id] = self._pending.get(node_id, 0) + 1
-        self._count("journaled")
+        HINTS.labels(action="journaled").inc()
 
     def _scan_pending(self) -> dict[int, int]:
         pending: dict[int, int] = {}
@@ -763,21 +770,13 @@ class HintedHandoff:
                 if not self._pending[node_id]:
                     del self._pending[node_id]
         self.replayed += len(applied)
-        self._count("replayed", len(applied))
+        HINTS.labels(action="replayed").inc(len(applied))
         self._crash_point("handoff.replay:batch")
         return len(applied)
 
     def _crash_point(self, name: str) -> None:
         if self.injector is not None:
             self.injector.maybe_crash(name)
-
-    @staticmethod
-    def _count(action: str, n: int = 1) -> None:
-        default_registry().counter(
-            "repro_replica_hints_total",
-            "hinted-handoff records, by action",
-            labels=("action",),
-        ).labels(action=action).inc(n)
 
 
 # -- anti-entropy ------------------------------------------------------------------
@@ -943,10 +942,7 @@ class AntiEntropyRepairer:
             if not decision.admitted or decision.queue_delay > lag_cap \
                     or headroom < runway:
                 self.sheds += 1
-                default_registry().counter(
-                    "repro_replica_repair_sheds_total",
-                    "anti-entropy pumps shed by admission control",
-                ).inc()
+                REPAIR_SHEDS.inc()
                 return False
         if not self._scan_queue and not self._cells:
             alive = [
@@ -1038,7 +1034,8 @@ class AntiEntropyRepairer:
                                  default=repr).encode())
             )
         self.repairs += repaired
-        self._count("streamed", repaired)
+        if repaired:
+            REPAIRS.labels(action="streamed").inc(repaired)
         if not exhausted:
             return False
         # Streaming only adds newer records; a replica holding spurious
@@ -1071,24 +1068,9 @@ class AntiEntropyRepairer:
         if self.injector is not None:
             self.injector.maybe_crash(name)
 
-    @staticmethod
-    def _count(action: str, n: int) -> None:
-        if n:
-            default_registry().counter(
-                "repro_replica_repairs_total",
-                "anti-entropy repair records, by action",
-                labels=("action",),
-            ).labels(action=action).inc(n)
-
     def publish_gauges(self) -> None:
-        registry = default_registry()
-        registry.gauge(
-            "repro_replica_repair_bytes",
-            "serialized bytes streamed by anti-entropy repair",
-        ).set(self.repair_bytes)
-        registry.gauge(
-            "repro_replica_repair_rounds", "anti-entropy snapshot rounds started"
-        ).set(self.rounds)
+        REPAIR_BYTES.set(self.repair_bytes)
+        REPAIR_ROUNDS.set(self.rounds)
 
 
 # -- storm integration -------------------------------------------------------------

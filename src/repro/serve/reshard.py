@@ -68,7 +68,7 @@ from repro.core.routing import (
 )
 from repro.common.hashing import hash64
 from repro.core.serialize import frame, unframe
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Gauge
 from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
 from repro.serve.sim import (
     CALM_STORM_RECOVERY,
@@ -77,6 +77,30 @@ from repro.serve.sim import (
     _serving_rig,
     _tree_retry,
     run_storm,
+)
+
+DOUBLE_READS = Family(
+    Counter, "repro_reshard_double_reads_total", "lookups that consulted both the old and new owner"
+)
+PUMP_SHEDS = Family(
+    Counter, "repro_reshard_pump_sheds_total", "migration batches shed by admission control"
+)
+CUTOVER_EPOCH_BUMPS = Family(
+    Counter, "repro_reshard_cutover_epoch_bumps_total", "routing-table epoch bumps at cutover"
+)
+STEPS = Family(
+    Counter, "repro_reshard_steps_total", "migration state-machine transitions, by step entered",
+    ("step",),
+)
+KEYS = Family(
+    Counter, "repro_reshard_keys_total", "keys processed by migration, by action", ("action",)
+)
+MIGRATION_ACTIVE = Family(
+    Gauge, "repro_reshard_migration_active", "1 while a migration is in flight"
+)
+ROUTING_EPOCH = Family(Gauge, "repro_reshard_routing_epoch", "active routing-table epoch")
+SCAN_REMAINING = Family(
+    Gauge, "repro_reshard_scan_remaining", "keys left in the current migration scan step"
 )
 
 
@@ -352,10 +376,7 @@ class ShardedStore:
         self.owner_reads += len(owners)
         if len(owners) > 1:
             self.double_reads += 1
-            default_registry().counter(
-                "repro_reshard_double_reads_total",
-                "lookups that consulted both the old and new owner",
-            ).inc()
+            DOUBLE_READS.inc()
         results = []
         for sid in owners:
             result = self.shards[sid].lookup(
@@ -564,7 +585,7 @@ class ReshardCoordinator:
         self.store.migration = mig
         self._moving = None
         self._commits_since_journal = 0
-        self._meter_step(MigrationStep.PLANNED)
+        STEPS.labels(step=MigrationStep.PLANNED.value).inc()
         self._crash_point("reshard.planned")
 
     # -- the pump ----------------------------------------------------------------
@@ -604,10 +625,7 @@ class ReshardCoordinator:
             if not decision.admitted or decision.queue_delay > lag_cap \
                     or headroom < runway:
                 self.sheds += 1
-                default_registry().counter(
-                    "repro_reshard_pump_sheds_total",
-                    "migration batches shed by admission control",
-                ).inc()
+                PUMP_SHEDS.inc()
                 return False
         deadline = None
         if self.clock is not None:
@@ -647,7 +665,7 @@ class ReshardCoordinator:
         self._moving = None
         self._commits_since_journal = 0
         self._journal({"kind": "step", "step": step.value})
-        self._meter_step(step)
+        STEPS.labels(step=step.value).inc()
         self._crash_point(f"reshard.{step.value}")
 
     # -- scan-step machinery -----------------------------------------------------
@@ -711,7 +729,7 @@ class ReshardCoordinator:
             self.store.shards[mig.new_router.owner(key)].put(key, value)
             moved += 1
         mig.keys_moved += moved
-        self._meter_keys("moved", moved)
+        KEYS.labels(action="moved").inc(moved)
         self._commit_batch(mig, batch[:done])
         self._crash_point("reshard.backfill:batch")
 
@@ -732,9 +750,9 @@ class ReshardCoordinator:
                 repaired += 1
         mig.keys_verified += len(batch)
         mig.repairs += repaired
-        self._meter_keys("verified", len(batch))
+        KEYS.labels(action="verified").inc(len(batch))
         if repaired:
-            self._meter_keys("repaired", repaired)
+            KEYS.labels(action="repaired").inc(repaired)
         self._commit_batch(mig, batch)
 
     def _batched_get(self, mig, batch, deadline, *, donors: bool) -> list[Any]:
@@ -765,10 +783,7 @@ class ReshardCoordinator:
         """
         self.store.router = mig.new_router
         self.store._write_routing_manifest()
-        default_registry().counter(
-            "repro_reshard_cutover_epoch_bumps_total",
-            "routing-table epoch bumps at cutover",
-        ).inc()
+        CUTOVER_EPOCH_BUMPS.inc()
         self._crash_point("reshard.cutover:manifest")
         self._enter(mig, MigrationStep.RETIRE)
 
@@ -791,13 +806,13 @@ class ReshardCoordinator:
             self.store.shards[mig.old_router.owner(key)].delete(key)
             done += 1
         mig.keys_retired += done
-        self._meter_keys("retired", done)
+        KEYS.labels(action="retired").inc(done)
         self._commit_batch(mig, batch[:done])
 
     def _finish(self, mig: MigrationState) -> None:
         mig.step = MigrationStep.DONE
         self._journal({"kind": "step", "step": MigrationStep.DONE.value})
-        self._meter_step(MigrationStep.DONE)
+        STEPS.labels(step=MigrationStep.DONE.value).inc()
         self.last_migration = mig
         self.store.migration = None
         self._moving = None
@@ -901,36 +916,11 @@ class ReshardCoordinator:
         if self.injector is not None:
             self.injector.maybe_crash(name)
 
-    def _meter_step(self, step: MigrationStep) -> None:
-        default_registry().counter(
-            "repro_reshard_steps_total",
-            "migration state-machine transitions, by step entered",
-            labels=("step",),
-        ).labels(step=step.value).inc()
-
-    def _meter_keys(self, action: str, n: int) -> None:
-        if n:
-            default_registry().counter(
-                "repro_reshard_keys_total",
-                "keys processed by migration, by action",
-                labels=("action",),
-            ).labels(action=action).inc(n)
-
     def publish_gauges(self) -> None:
         """Point-in-time migration gauges for ``python -m repro stats``."""
-        registry = default_registry()
-        mig = self.store.migration
-        registry.gauge(
-            "repro_reshard_migration_active", "1 while a migration is in flight"
-        ).set(0 if mig is None else 1)
-        registry.gauge(
-            "repro_reshard_routing_epoch", "active routing-table epoch"
-        ).set(self.store.router.epoch)
-        remaining = len(self._moving) if self._moving is not None else 0
-        registry.gauge(
-            "repro_reshard_scan_remaining",
-            "keys left in the current migration scan step",
-        ).set(remaining)
+        MIGRATION_ACTIVE.set(0 if self.store.migration is None else 1)
+        ROUTING_EPOCH.set(self.store.router.epoch)
+        SCAN_REMAINING.set(len(self._moving) if self._moving is not None else 0)
 
 
 # -- storm integration -------------------------------------------------------------

@@ -28,10 +28,24 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.clock import Answer, Deadline, SimulatedClock
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Gauge, Histogram
 from repro.obs.tracing import trace
 from repro.serve.admission import AdmissionController, Priority
 from repro.serve.breaker import BreakerState
+
+REQUESTS = Family(
+    Counter, "repro_serve_requests_total", "served-filter requests, by outcome and priority",
+    ("outcome", "priority"),
+)
+LATENCY = Family(
+    Histogram, "repro_serve_latency_seconds", "arrival-to-answer simulated latency, by outcome",
+    ("outcome",),
+)
+BREAKERS = Family(Gauge, "repro_serve_breakers", "circuit breakers by state", ("state",))
+SERVICE_EWMA = Family(
+    Gauge, "repro_serve_service_ewma_seconds", "admission controller's service-time estimate"
+)
+SHED_RATE = Family(Gauge, "repro_serve_shed_rate", "shed fraction since startup")
 
 
 class ServeOutcome(enum.Enum):
@@ -205,39 +219,19 @@ class ServedFilter:
     # -- telemetry ---------------------------------------------------------------
 
     def _meter(self, response: ServedResponse) -> None:
-        registry = default_registry()
-        registry.counter(
-            "repro_serve_requests_total",
-            "served-filter requests, by outcome and priority",
-            labels=("outcome", "priority"),
-        ).labels(
-            outcome=response.outcome.value,
-            priority=response.priority.name.lower(),
-        ).inc()
-        registry.histogram(
-            "repro_serve_latency_seconds",
-            "arrival-to-answer simulated latency, by outcome",
-            labels=("outcome",),
-        ).labels(outcome=response.outcome.value).observe(response.latency)
+        outcome = response.outcome.value
+        REQUESTS.labels(outcome=outcome, priority=response.priority.name.lower()).inc()
+        LATENCY.labels(outcome=outcome).observe(response.latency)
 
     def publish_gauges(self) -> None:
         """Point-in-time serving gauges (breaker states, service EWMA)."""
-        registry = default_registry()
         if self.breaker_device is not None:
             breakers = self.breaker_device.breakers.values()
-            by_state = registry.gauge(
-                "repro_serve_breakers", "circuit breakers by state",
-                labels=("state",),
-            )
+            by_state = BREAKERS.bind()
             for state in BreakerState:
                 by_state.labels(state=state.value).set(
                     sum(1 for b in breakers if b.state is state)
                 )
         if self.admission is not None:
-            registry.gauge(
-                "repro_serve_service_ewma_seconds",
-                "admission controller's service-time estimate",
-            ).set(self.admission.service_ewma)
-            registry.gauge(
-                "repro_serve_shed_rate", "shed fraction since startup"
-            ).set(self.admission.stats.shed_rate())
+            SERVICE_EWMA.set(self.admission.service_ewma)
+            SHED_RATE.set(self.admission.stats.shed_rate())

@@ -47,7 +47,7 @@ from repro.common.faults import FaultInjector, LatencyInjector
 from repro.core.bloofi import BloofiConfig, BloofiTree
 from repro.core.routing import ConsistentHashRouter
 from repro.filters.bloom import BloomFilter
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import Counter, Family, Gauge
 from repro.serve.admission import AdmissionConfig, TenantQuota
 from repro.serve.sim import (
     StormPhase,
@@ -57,6 +57,25 @@ from repro.serve.sim import (
     run_storm,
 )
 from repro.workloads.synthetic import zipf_queries
+
+PROBES = Family(
+    Counter, "repro_tenant_probes_total", "filter probes spent answering fleet lookups, by mode",
+    ("mode",),
+)
+PROBES_BY_LEVEL = Family(
+    Counter, "repro_tenant_probes_by_level_total",
+    "tree-node probes by depth (root=0; flat mode books all at 0)", ("level",),
+)
+CHURN = Family(
+    Counter, "repro_tenant_churn_total", "tenant provision/deprovision events during storms",
+    ("op",),
+)
+FLEET_SIZE = Family(Gauge, "repro_tenant_fleet_size", "live tenants in the fleet")
+STALE_FRACTION = Family(
+    Gauge, "repro_tenant_stale_fraction",
+    "max stale interior-OR bit fraction across trees (pre-re-OR)",
+)
+TREE_HEIGHT = Family(Gauge, "repro_tenant_tree_height", "max Bloofi tree height in the fleet")
 
 
 @dataclass(frozen=True)
@@ -432,17 +451,8 @@ class TenantStore:
             else self.router.query_flat(key)
         )
         self.probes_total += look.probes
-        registry = default_registry()
-        registry.counter(
-            "repro_tenant_probes_total",
-            "filter probes spent answering fleet lookups, by mode",
-            labels=("mode",),
-        ).labels(mode=self.mode).inc(look.probes)
-        by_level = registry.counter(
-            "repro_tenant_probes_by_level_total",
-            "tree-node probes by depth (root=0; flat mode books all at 0)",
-            labels=("level",),
-        )
+        PROBES.labels(mode=self.mode).inc(look.probes)
+        by_level = PROBES_BY_LEVEL.bind()
         for level, n in look.probes_by_level.items():
             by_level.labels(level=str(level)).inc(n)
 
@@ -617,11 +627,7 @@ class TenantTraffic(Traffic):
         live.append(tenant)
         self.next_tenant += 1
         report.tenants_added += 1
-        default_registry().counter(
-            "repro_tenant_churn_total",
-            "tenant provision/deprovision events during storms",
-            labels=("op",),
-        ).labels(op="cycle").inc()
+        CHURN.labels(op="cycle").inc()
 
     def pick(self):
         rng, live = self.rng, self.live
@@ -724,15 +730,7 @@ def run_tenant_storm(
         t.reor_runs for t in store.router.trees.values()
     )
 
-    registry = default_registry()
-    registry.gauge(
-        "repro_tenant_fleet_size", "live tenants in the fleet"
-    ).set(store.n_tenants)
-    registry.gauge(
-        "repro_tenant_stale_fraction",
-        "max stale interior-OR bit fraction across trees (pre-re-OR)",
-    ).set(tenant_report.stale_fraction)
-    registry.gauge(
-        "repro_tenant_tree_height", "max Bloofi tree height in the fleet"
-    ).set(tenant_report.max_height)
+    FLEET_SIZE.set(store.n_tenants)
+    STALE_FRACTION.set(tenant_report.stale_fraction)
+    TREE_HEIGHT.set(tenant_report.max_height)
     return report, tenant_report, store

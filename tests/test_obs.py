@@ -6,18 +6,25 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.apps.lsm import LSMTree
+from repro.cache import BlockCache, FilterResultCache, NegativeLookupCache
+from repro.common.clock import SimulatedClock
 from repro.common.storage import BlockDevice, IOStats
 from repro.core.concurrent import ShardedFilter
 from repro.core.registry import make_filter
 from repro.filters.bloom import BloomFilter
+from repro.obs import metrics
 from repro.obs.metrics import MetricError, _HistogramChild
+from repro.serve import AdmissionController, Priority, ServedFilter, breaker
 
 
 @pytest.fixture()
@@ -248,6 +255,9 @@ class TestExporters:
         c = registry.counter("repro_events_total", "events", labels=("kind",))
         c.labels(kind="a").inc(3)
         c.labels(kind='quote"comma,').inc()  # escaping stress
+        c.labels(kind="new\nline").inc(2)
+        pairs = registry.counter("repro_pairs_total", "pairs", labels=("filter", "result"))
+        pairs.labels(filter="trail\\", result="ok").inc()  # must not swallow result=
         registry.gauge("repro_ratio", "a ratio").set(0.25)
         h = registry.histogram("repro_lat_seconds", "latency")
         for v in (1e-6, 3e-4, 0.002, 0.002, 1.5):
@@ -295,6 +305,41 @@ class TestExporters:
         assert any("NaN" in f for f in obs.selftest(registry))
 
 
+def _total(registry, name: str) -> float:
+    """Sum of a family's counter values or histogram counts (0 if absent)."""
+    metric = registry.get(name)
+    if metric is None:
+        return 0
+    return sum(
+        child.count if isinstance(child, _HistogramChild) else child.value
+        for _, child in metric.series()
+    )
+
+
+# Every object that emits into the default registry from a long-lived
+# handle: (build, emit one event, a family that event reaches).
+_HOLDERS = {
+    "BlockDevice": (
+        BlockDevice, lambda dev: dev.write("a", b"x"), "repro_device_writes_total"),
+    "LSMTree": (LSMTree, lambda tree: tree.lookup(1), "repro_lsm_lookups_total"),
+    "BlockCache": (
+        lambda: BlockCache(1024), lambda cache: cache.get("a"),
+        "repro_cache_block_requests_total"),
+    "FilterResultCache": (
+        FilterResultCache, lambda memo: memo.known_negative(1, "k"),
+        "repro_cache_filter_memo_total"),
+    "NegativeLookupCache": (
+        NegativeLookupCache, lambda neg: neg.known_absent("k", 0),
+        "repro_cache_negative_lookups_total"),
+    "ServedFilter": (
+        lambda: ServedFilter(LSMTree(), SimulatedClock()), lambda served: served.serve(1),
+        "repro_serve_requests_total"),
+    "AdmissionController": (
+        lambda: AdmissionController(SimulatedClock()),
+        lambda adm: adm.admit(0.0, Priority.NORMAL), "repro_serve_queue_delay_seconds"),
+}
+
+
 class TestIOStats:
     def test_as_dict_is_single_source_of_truth(self):
         s = IOStats(reads=1, writes=2, bytes_read=3, bytes_written=4,
@@ -321,14 +366,45 @@ class TestIOStats:
             assert reg.counter("repro_device_bytes_read_total").value == 6
             assert dev.stats.reads == 2  # legacy stats still accrue
 
-    def test_device_rebinds_on_registry_swap(self):
-        dev = BlockDevice()
+    @pytest.mark.parametrize("build, emit, name", _HOLDERS.values(), ids=list(_HOLDERS))
+    def test_device_rebinds_on_registry_swap(self, build, emit, name):
         with obs.use_registry() as first:
-            dev.write("a", b"x")
+            holder = build()
+            emit(holder)
+            assert _total(first, name) > 0
+        before = first.snapshot()
         with obs.use_registry() as second:
-            dev.write("b", b"x")
-            assert second.counter("repro_device_writes_total").value == 1
-        assert first.counter("repro_device_writes_total").value == 1
+            emit(holder)
+            assert _total(second, name) > 0
+        assert first.snapshot() == before
+
+
+class TestDeclarations:
+    """Every library family is declared once, valid, and documented."""
+
+    def test_inventory_lists_every_declared_family(self):
+        doc = (Path(__file__).parent.parent / "docs" / "observability.md").read_text()
+        table = doc[doc.index("## Metric inventory"):]
+        documented = set(re.findall(r"^\| `(repro_\w+)` \|", table, re.M))
+        declared = {family.name for family in obs.declared_families()}
+        assert "repro_replica_repair_rounds" in declared
+        assert sorted(declared - documented) == []  # undocumented families
+        assert sorted(documented - declared) == []  # stale table rows
+
+    def test_selftest_flags_conflicting_declaration(self, monkeypatch):
+        assert obs.selftest() == []
+        clash = metrics.Family(metrics.Gauge, "repro_lsm_lookups_total", "clash")
+        monkeypatch.setattr(breaker, "CLASH", clash, raising=False)
+        assert any("repro_lsm_lookups_total" in f for f in obs.selftest())
+
+    def test_child_binds_once_per_registry(self):
+        family = metrics.Family(metrics.Counter, "repro_scratch_total", "t", ("k",))
+        child = family.child(k="a")
+        with obs.use_registry() as reg:
+            child.inc()
+            child.inc(2)
+            assert child.bind() is reg.get("repro_scratch_total").labels(k="a")
+            assert reg.get("repro_scratch_total").labels(k="a").value == 3
 
 
 class TestEmptyFilterBitsPerKey:
