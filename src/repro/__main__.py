@@ -43,7 +43,9 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
     replica down and back mid-storm, ``--wipe-replica`` destroys its
     data too, and ``--crash-at-step`` also accepts handoff-replay steps
     (``handoff.replay``, ``handoff.replay:applied``,
-    ``handoff.replay:batch``) for the replica-chaos CI job.
+    ``handoff.replay:batch``) and ``repair.stream`` for the
+    replica-chaos CI job.  A crash armed with ``--crash-at-step`` that
+    never fires fails the run.
     ``--tenants`` serves a multi-tenant fleet behind the Bloofi
     filter-of-filters router instead (O(log N) probes per lookup;
     docs/robustness.md): ``--tenant-zipf`` sets the traffic skew,
@@ -303,12 +305,22 @@ def _cmd_serve_sim(args) -> int:
     return 0 if report.false_negatives == 0 else 1
 
 
+def _armed_crash_fired(args, crashes: int) -> bool:
+    """False, after saying so, when ``--crash-at-step`` armed a crash that
+    never fired: a renamed or unreachable step must fail the run, not
+    pass it untested."""
+    if args.crash_at_step and crashes == 0:
+        print(f"crash armed at {args.crash_at_step!r} never fired")
+        return False
+    return True
+
+
 def _serve_sim_sharded(args, phases) -> int:
     """serve-sim over a sharded stack, with an optional live migration.
 
-    Exit status is non-zero on any false negative *or* a migration that
-    failed to reach DONE — the two invariants the reshard chaos CI job
-    gates on.
+    Exit status is non-zero on any false negative, a migration that
+    failed to reach DONE, or an armed crash that never fired — the
+    invariants the reshard chaos CI job gates on.
     """
     from repro import obs
     from repro.serve import run_reshard_storm
@@ -353,7 +365,8 @@ def _serve_sim_sharded(args, phases) -> int:
                 "report": reshard.as_dict(),
                 "crash_at_step": args.crash_at_step,
             })
-    ok = storm.false_negatives == 0 and (
+    fired = _armed_crash_fired(args, reshard.crashes)
+    ok = fired and storm.false_negatives == 0 and (
         args.reshard_at <= 0 or reshard.completed
     )
     return 0 if ok else 1
@@ -363,8 +376,8 @@ def _serve_sim_replicated(args, phases) -> int:
     """serve-sim over a replicated fleet, with an optional kill/heal.
 
     Exit status is non-zero on any false negative, an unconverged fleet,
-    or leftover handoff backlog — the invariants the replica-chaos CI
-    job gates on.
+    leftover handoff backlog, or an armed crash that never fired — the
+    invariants the replica-chaos CI job gates on.
     """
     from repro import obs
     from repro.serve import run_replica_storm
@@ -411,7 +424,8 @@ def _serve_sim_replicated(args, phases) -> int:
                 "replicas": args.replicas,
                 "crash_at_step": args.crash_at_step,
             })
-    ok = (storm.false_negatives == 0 and rep.converged
+    fired = _armed_crash_fired(args, rep.crashes)
+    ok = (fired and storm.false_negatives == 0 and rep.converged
           and rep.backlog == 0 and rep.hints_dropped == 0)
     return 0 if ok else 1
 
@@ -524,7 +538,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--crash-at-step", type=str, default=None,
                          help="arm a one-shot simulated crash at this "
                               "migration step (e.g. backfill, cutover, "
-                              "retire; see repro.serve.reshard)")
+                              "retire; see repro.serve.reshard); the run "
+                              "fails if it never fires")
     p_serve.add_argument("--journal-out", type=str, default=None,
                          help="write the migration journal + report as "
                               "JSON to this path (CI failure artifact)")

@@ -68,32 +68,32 @@ class CacheStats:
 class _FrequencySketch:
     """Seeded 4-bit count-min sketch with periodic halving (TinyLFU).
 
-    Frequencies are estimates over a sliding sample: once ``sample_size``
+    Frequencies are estimates over a sliding sample: once ``_SAMPLE``
     touches accrue, every counter is halved, so a key hot an hour ago
     cannot forever outrank the key hot now.
     """
 
     _ROWS = 4
+    _WIDTH = 2048
+    _SAMPLE = 16384
     _MAX = 15  # 4-bit saturating counters
 
-    def __init__(self, width: int = 2048, sample_size: int = 16384, seed: int = 0):
-        self._width = max(64, width)
-        self._sample_size = sample_size
-        self._rows = [bytearray(self._width) for _ in range(self._ROWS)]
+    def __init__(self, seed: int = 0):
+        self._rows = [bytearray(self._WIDTH) for _ in range(self._ROWS)]
         self._seeds = [splitmix64(seed ^ (0x51E7 + i)) for i in range(self._ROWS)]
         self._touches = 0
 
     def _slots(self, address: Any):
         base = zlib.crc32(repr(address).encode())
         for row_seed in self._seeds:
-            yield splitmix64(base ^ row_seed) % self._width
+            yield splitmix64(base ^ row_seed) % self._WIDTH
 
     def touch(self, address: Any) -> None:
         for row, slot in zip(self._rows, self._slots(address)):
             if row[slot] < self._MAX:
                 row[slot] += 1
         self._touches += 1
-        if self._touches >= self._sample_size:
+        if self._touches >= self._SAMPLE:
             self._age()
 
     def estimate(self, address: Any) -> int:
@@ -125,6 +125,11 @@ STORMS = Family(
 )
 USED_BYTES = Family(Gauge, "repro_cache_block_used_bytes", "bytes currently cached")
 
+# An invalidation storm: more than one invalidation per four requests
+# over the last 256 requests.
+_STORM_WINDOW = 256
+_STORM_THRESHOLD = 0.25
+
 
 class BlockCache:
     """Size-bounded LRU block cache with optional TinyLFU admission.
@@ -142,8 +147,6 @@ class BlockCache:
         *,
         policy: str = "lru",
         seed: int = 0,
-        storm_window: int = 256,
-        storm_threshold: float = 0.25,
     ):
         if capacity_bytes < 0:
             raise ValueError("capacity_bytes must be non-negative")
@@ -159,8 +162,7 @@ class BlockCache:
             _FrequencySketch(seed=seed) if policy == "tinylfu" else None
         )
         # Invalidation-storm detector: invalidations per request window.
-        self._storm = WindowedRate(window=storm_window)
-        self._storm_threshold = storm_threshold
+        self._storm = WindowedRate(window=_STORM_WINDOW)
         self._in_storm = False
 
     def __len__(self) -> int:
@@ -221,7 +223,7 @@ class BlockCache:
         """Drop *address* (its device block was overwritten or deleted)."""
         entry = self._entries.pop(address, None)
         rate = self._storm.record(self.stats.requests)
-        if rate > self._storm_threshold:
+        if rate > _STORM_THRESHOLD:
             if not self._in_storm:
                 self._in_storm = True
                 STORMS.inc()

@@ -4,14 +4,15 @@ A :class:`Router` maps keys to shard ids.  Every router carries an
 ``epoch`` — a version number that bumps whenever ownership changes — so
 layers above (the sharded store, negative caches, migration journals)
 can tell "same topology" from "keys moved" without diffing tables.
-Routers are value objects: topology changes (:meth:`HashRangeRouter.split`,
-:meth:`ConsistentHashRouter.with_shard`, …) return a *new* router at
+Routers are value objects: topology changes (:meth:`HashRangeRouter.split`
+and :meth:`~HashRangeRouter.merge`) return a *new* router at
 ``epoch + 1`` and never mutate the old one, which is exactly what online
 resharding needs — a migration is an ``(old_router, new_router)`` pair,
 and a key must move iff the two disagree about its owner.
 
-All routers serialize to JSON-safe manifests (:meth:`Router.to_manifest`
-/ :func:`router_from_manifest`) so routing survives crashes through the
+The hash-range router — the one a sharded store persists — serializes
+to a JSON-safe manifest (:meth:`HashRangeRouter.to_manifest` /
+:func:`router_from_manifest`), so routing survives crashes through the
 same double-buffered-manifest discipline the LSM-tree uses.
 """
 
@@ -32,8 +33,6 @@ _SPACE = 1 << 64  # routers partition the full 64-bit hash space
 
 class Router:
     """Maps keys to shard ids; versioned by ``epoch``."""
-
-    kind = "base"
 
     def __init__(self, *, epoch: int = 0):
         if epoch < 0:
@@ -63,9 +62,6 @@ class Router:
         take = min(n, len(ids))
         return tuple(ids[(start + i) % len(ids)] for i in range(take))
 
-    def to_manifest(self) -> dict:
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(epoch={self.epoch}, shards={self.shard_ids()})"
 
@@ -76,12 +72,10 @@ class HashRouter(Router):
     ``hash_to_range(key, n_shards, seed ^ 0x5AAD)``, so plugging the
     default router in changes nothing.  Fixed fan — it cannot split."""
 
-    kind = "hash"
-
-    def __init__(self, n_shards: int, *, seed: int = 0, epoch: int = 0):
+    def __init__(self, n_shards: int, *, seed: int = 0):
         if n_shards < 1:
             raise ValueError("n_shards must be positive")
-        super().__init__(epoch=epoch)
+        super().__init__()
         self.n_shards = n_shards
         self.seed = seed
 
@@ -90,12 +84,6 @@ class HashRouter(Router):
 
     def shard_ids(self) -> tuple[int, ...]:
         return tuple(range(self.n_shards))
-
-    def to_manifest(self) -> dict:
-        return {
-            "kind": self.kind, "epoch": self.epoch,
-            "n_shards": self.n_shards, "seed": self.seed,
-        }
 
 
 class HashRangeRouter(Router):
@@ -124,14 +112,14 @@ class HashRangeRouter(Router):
         self._uppers = uppers
 
     @classmethod
-    def uniform(cls, shard_ids, *, seed: int = 0, epoch: int = 0) -> "HashRangeRouter":
+    def uniform(cls, shard_ids, *, seed: int = 0) -> "HashRangeRouter":
         """Equal-width ranges over *shard_ids*, in the order given."""
         ids = list(shard_ids)
         if not ids:
             raise ValueError("need at least one shard")
         n = len(ids)
         bounds = [((i + 1) * _SPACE // n, ids[i]) for i in range(n)]
-        return cls(bounds, seed=seed, epoch=epoch)
+        return cls(bounds, seed=seed)
 
     def owner(self, key: Any) -> int:
         h = hash64(key, self.seed ^ SHARD_SALT)
@@ -150,20 +138,9 @@ class HashRangeRouter(Router):
             lo = upper
         return out
 
-    def split(
-        self, source: int, target: int, histogram=None
-    ) -> "HashRangeRouter":
-        """Hand the upper part of one of *source*'s ranges to *target*.
-
-        Without a *histogram* the widest range is cut at its geometric
-        midpoint — correct for uniformly hashed keys, but a skewed
-        (adversarial or low-entropy) key set can leave one half nearly
-        empty.  With *histogram* — an iterable of observed 64-bit key
-        hash points, e.g. from ``ShardedStore.key_histogram(source)`` —
-        the cut goes through the range holding the most observed keys,
-        at their median point, so each side inherits half the *observed*
-        population rather than half the hash space.
-        """
+    def split(self, source: int, target: int) -> "HashRangeRouter":
+        """Hand the upper half of *source*'s widest range to *target*,
+        cut at its geometric midpoint."""
         if target in self.shard_ids() and target != source:
             raise ValueError(f"target shard {target} already owns ranges")
         ranges = self.ranges_of(source)
@@ -171,22 +148,6 @@ class HashRangeRouter(Router):
             raise ValueError(f"shard {source} owns no range")
         lo, hi = max(ranges, key=lambda r: r[1] - r[0])
         mid = (lo + hi) // 2
-        if histogram is not None:
-            points = sorted(int(p) for p in histogram)
-            per_range = {
-                (rlo, rhi): [p for p in points if rlo <= p < rhi]
-                for rlo, rhi in ranges
-            }
-            busiest, occupants = max(
-                per_range.items(), key=lambda item: (len(item[1]), item[0][1] - item[0][0])
-            )
-            if occupants:
-                lo, hi = busiest
-                # Cut *after* the lower half's last occupant so the halves
-                # carry equal observed load; clamp to keep both sides
-                # non-empty ranges.
-                median = occupants[len(occupants) // 2]
-                mid = min(max(median, lo + 1), hi - 1)
         if mid == lo:
             raise ValueError(f"shard {source}'s range is too narrow to split")
         new_bounds = []
@@ -227,16 +188,14 @@ class HashRangeRouter(Router):
 class ConsistentHashRouter(Router):
     """Classic consistent-hash ring with virtual nodes.
 
-    Adding or removing one shard moves only ~1/n of the key space —
-    the other shape online resharding takes when capacity, not one hot
-    range, is the problem.  ``vnodes`` virtual points per shard keep the
-    per-shard load spread tight.
+    The placement ring for replicas and tenants: a key's preference list
+    is a ring walk, so placements stay stable for a fixed shard set.
+    ``vnodes`` virtual points per shard keep the per-shard load spread
+    tight.
     """
 
-    kind = "consistent"
-
-    def __init__(self, shard_ids, *, seed: int = 0, vnodes: int = 16, epoch: int = 0):
-        super().__init__(epoch=epoch)
+    def __init__(self, shard_ids, *, seed: int = 0, vnodes: int = 16):
+        super().__init__()
         ids = sorted(set(shard_ids))
         if not ids:
             raise ValueError("need at least one shard")
@@ -282,45 +241,15 @@ class ConsistentHashRouter(Router):
                     break
         return tuple(chosen)
 
-    def with_shard(self, shard: int) -> "ConsistentHashRouter":
-        if shard in self._ids:
-            raise ValueError(f"shard {shard} is already on the ring")
-        return ConsistentHashRouter(
-            self._ids + (shard,), seed=self.seed, vnodes=self.vnodes,
-            epoch=self.epoch + 1,
-        )
-
-    def without_shard(self, shard: int) -> "ConsistentHashRouter":
-        if shard not in self._ids:
-            raise ValueError(f"shard {shard} is not on the ring")
-        if len(self._ids) == 1:
-            raise ValueError("cannot remove the last shard")
-        remaining = tuple(s for s in self._ids if s != shard)
-        return ConsistentHashRouter(
-            remaining, seed=self.seed, vnodes=self.vnodes, epoch=self.epoch + 1
-        )
-
-    def to_manifest(self) -> dict:
-        return {
-            "kind": self.kind, "epoch": self.epoch, "seed": self.seed,
-            "vnodes": self.vnodes, "shards": list(self._ids),
-        }
-
 
 def router_from_manifest(raw: dict) -> Router:
-    """Rehydrate any router from its JSON manifest (inverse of
-    ``to_manifest``); raises ``ValueError`` on unknown kinds."""
+    """Rehydrate a router from its JSON manifest (inverse of
+    :meth:`HashRangeRouter.to_manifest`).  Manifests are read back from
+    the device, so an unknown kind raises ``ValueError``."""
     kind = raw.get("kind")
-    epoch = int(raw.get("epoch", 0))
-    seed = int(raw.get("seed", 0))
-    if kind == HashRouter.kind:
-        return HashRouter(int(raw["n_shards"]), seed=seed, epoch=epoch)
-    if kind == HashRangeRouter.kind:
-        return HashRangeRouter(
-            [(int(u), int(s)) for u, s in raw["bounds"]], seed=seed, epoch=epoch
-        )
-    if kind == ConsistentHashRouter.kind:
-        return ConsistentHashRouter(
-            raw["shards"], seed=seed, vnodes=int(raw["vnodes"]), epoch=epoch
-        )
-    raise ValueError(f"unknown router kind {kind!r}")
+    if kind != HashRangeRouter.kind:
+        raise ValueError(f"unknown router kind {kind!r}")
+    return HashRangeRouter(
+        [(int(u), int(s)) for u, s in raw["bounds"]],
+        seed=int(raw.get("seed", 0)), epoch=int(raw.get("epoch", 0)),
+    )

@@ -177,3 +177,29 @@ class AdmissionController:
         """Feed one observed service time into the EWMA estimate."""
         alpha = self.config.ewma_alpha
         self.service_ewma = (1.0 - alpha) * self.service_ewma + alpha * seconds
+
+
+# Queue-delay cap, in simulated seconds, for one background batch
+# (resharding or repair), and that batch's default deadline budget.
+BACKGROUND_BUDGET = 0.001
+
+
+def admit_background(
+    admission: AdmissionController, clock: Any, arrival: float | None
+) -> bool:
+    """Whether one background batch may run now, ahead of the foreground
+    request arriving at *arrival* (None: no request is waiting).
+
+    The batch is admitted at ``Priority.LOW``, so under overload it is
+    shed before any foreground request.  It must also find the queue
+    delay within :data:`BACKGROUND_BUDGET` and three budgets of idle
+    runway before *arrival*: a batch can overshoot its budget by one
+    flush/compaction burst, and background I/O must soak up idle gaps,
+    not queue ahead of live traffic.
+    """
+    now = clock.now() if clock else 0.0
+    decision = admission.admit(now if arrival is None else arrival, Priority.LOW)
+    runway = 3 * BACKGROUND_BUDGET
+    headroom = (arrival - now) if arrival is not None else runway
+    return (decision.admitted and decision.queue_delay <= BACKGROUND_BUDGET
+            and headroom >= runway)

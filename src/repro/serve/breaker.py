@@ -149,26 +149,23 @@ class BreakerDevice:
 
     Writes, deletes, and metadata pass straight through; only reads are
     guarded, because the serving read path is what a fault storm turns
-    into a retry pileup.  ``key_fn`` maps an address to its breaker key
-    (default: the address itself, i.e. one breaker per run/filter blob).
+    into a retry pileup.  Each address (each run/filter blob) gets its
+    own breaker.
     """
 
-    def __init__(self, device: Any, clock: Any,
-                 key_fn: Callable[[Any], Any] | None = None, **breaker_kwargs):
+    def __init__(self, device: Any, clock: Any, **breaker_kwargs):
         self.inner = device
         self.clock = clock
         self.breakers: dict[Any, CircuitBreaker] = {}
-        self._key_fn = key_fn if key_fn is not None else lambda address: address
         self._breaker_kwargs = breaker_kwargs
 
     def breaker_for(self, address: Any) -> CircuitBreaker:
-        key = self._key_fn(address)
-        breaker = self.breakers.get(key)
+        breaker = self.breakers.get(address)
         if breaker is None:
             breaker = CircuitBreaker(
-                self.clock, name=str(key), **self._breaker_kwargs
+                self.clock, name=str(address), **self._breaker_kwargs
             )
-            self.breakers[key] = breaker
+            self.breakers[address] = breaker
         return breaker
 
     def read(self, address: Any) -> Any:

@@ -39,10 +39,10 @@ Convergence machinery:
 * **Anti-entropy** (:class:`AntiEntropyRepairer`) — a background
   scrubber compares per-node, per-bucket digests (CRC chains over the
   serialized records, the same framing BBF2 uses) against the union-
-  resolved expected state and streams repairs, admission-gated at
-  ``Priority.LOW`` exactly like reshard pumps.  A tainted replica's
-  taint clears only after a full clean digest round re-verified against
-  the live tree.
+  resolved expected state and streams repairs, admission-gated by the
+  same :func:`~repro.serve.admission.admit_background` as reshard
+  pumps.  A tainted replica's taint clears only after a full clean
+  digest round re-verified against the live tree.
 
 Deletes are tombstone *records* (``{"s": seq, "t": true}``) written
 through the same replicated path, so max-seq-wins resolution converges
@@ -78,7 +78,7 @@ from repro.core.errors import ChecksumError
 from repro.core.routing import ConsistentHashRouter, Router
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import Counter, Family, Gauge
-from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
+from repro.serve.admission import AdmissionController, admit_background
 from repro.serve.breaker import BreakerDevice
 from repro.serve.sim import (
     CALM_STORM_RECOVERY,
@@ -124,6 +124,10 @@ REPAIR_ROUNDS = Family(
 _META_NS = "replmeta"
 _HANDOFF_NS = "handoff"
 _DIGEST_SALT = 0xB0C6
+_N_BUCKETS = 16
+# Simulated seconds of repair streaming one pump may charge before the
+# cell is resumed on the next pump.
+_REPAIR_IO_BUDGET = 0.005
 
 
 # -- failure detection -------------------------------------------------------------
@@ -142,17 +146,17 @@ class FailureDetector:
     suspicion while write diversion waits for high.
     """
 
-    def __init__(self, clock: SimulatedClock, *, window: int = 8,
-                 min_interval: float = 0.002):
+    # Heartbeat intervals remembered per replica.
+    _WINDOW = 8
+    # Floor for the learned heartbeat interval.  Bulk loading runs with
+    # zero simulated latency, so learned intervals can collapse to ~0 —
+    # and then the first real gap in traffic makes every healthy replica
+    # look silent for "millions" of intervals.  Standard phi-accrual
+    # implementations clamp the distribution for exactly this reason.
+    _MIN_INTERVAL = 0.002
+
+    def __init__(self, clock: SimulatedClock):
         self.clock = clock
-        self.window = window
-        # Floor for the learned heartbeat interval.  Bulk loading runs
-        # with zero simulated latency, so learned intervals can collapse
-        # to ~0 — and then the first real gap in traffic makes every
-        # healthy replica look silent for "millions" of intervals.
-        # Standard phi-accrual implementations clamp the distribution
-        # for exactly this reason.
-        self.min_interval = min_interval
         self._last_beat: dict[int, float] = {}
         self._intervals: dict[int, list[float]] = {}
         self._failures: dict[int, int] = {}
@@ -163,7 +167,7 @@ class FailureDetector:
         if last is not None:
             history = self._intervals.setdefault(node_id, [])
             history.append(max(now - last, 1e-9))
-            del history[: -self.window]
+            del history[: -self._WINDOW]
         self._last_beat[node_id] = now
         self._failures[node_id] = 0
 
@@ -186,7 +190,7 @@ class FailureDetector:
             elapsed = self.clock.now() - last
             # -log10 P(no heartbeat for `elapsed`) under an exponential
             # inter-arrival model: elapsed/mean * log10(e).
-            phi += (elapsed / max(mean, self.min_interval)) * 0.4343
+            phi += (elapsed / max(mean, self._MIN_INTERVAL)) * 0.4343
         return phi
 
     def suspected(self, node_id: int, threshold: float = 3.0) -> bool:
@@ -349,7 +353,6 @@ class ReplicatedStore:
         detector: FailureDetector | None = None,
         injector: FaultInjector | None = None,
         config: LSMConfig | None = None,
-        seed: int | None = None,
     ) -> "ReplicatedStore":
         """Reopen the whole fleet from its devices alone (post-crash).
 
@@ -374,7 +377,7 @@ class ReplicatedStore:
             clock=clock,
             detector=detector,
             injector=injector,
-            seed=manifest["seed"] if seed is None else seed,
+            seed=manifest["seed"],
             write_manifest=False,
         )
         store._epoch_base = manifest["epoch_base"]
@@ -785,30 +788,29 @@ class HintedHandoff:
 class AntiEntropyRepairer:
     """Background digest comparison and repair streaming.
 
-    The key space is carved into ``n_buckets`` hash buckets.  Each
-    repair *round* starts with one snapshot scan of every alive
-    replica's records (the round's I/O bill, charged through the normal
-    device path); each :meth:`pump` then checks one ``(node, bucket)``
-    cell against the snapshot: the replica's *actual* digest (CRC chain
-    over its serialized records in the bucket) versus the *expected*
-    digest (the max-seq winner per key, unioned across alive replicas,
-    restricted to keys the replica is responsible for).  On mismatch the
-    winners stream into the replica.  A tainted replica's taint clears
-    only after a full clean round *and* a live re-verification of its
-    digests — the snapshot alone is not trusted for a safety flag.
+    The key space is carved into 16 hash buckets.  Each repair *round*
+    starts with one snapshot scan of every alive replica's records (the
+    round's I/O bill, charged through the normal device path), indexed
+    by bucket as it is read; each :meth:`pump` then checks one ``(node,
+    bucket)`` cell against the snapshot: the replica's *actual* digest
+    (CRC chain over its serialized records in the bucket) versus the
+    *expected* digest (the max-seq winner per key, unioned across alive
+    replicas, restricted to keys the replica is responsible for).  On
+    mismatch the winners stream into the replica.  A tainted replica's
+    taint clears only after a full clean round *and* a live
+    re-verification of its digests — the snapshot alone is not trusted
+    for a safety flag.
 
-    Pumps are admission-gated at ``Priority.LOW`` with the same idle-
-    runway rule as reshard pumps, so repair I/O soaks up slack instead
-    of competing with foreground reads — and every pump does one
-    *time-bounded* unit of work (scan one replica into the round's
-    snapshot, or check one bucket with repair streaming cut off at
-    ``pump_io_budget`` of simulated time, resuming the same cell next
+    Pumps pass the same admission gate as reshard pumps, so repair I/O
+    soaks up slack instead of competing with foreground reads — and
+    every pump does one *time-bounded* unit of work (scan one replica
+    into the round's snapshot, or check one bucket with repair streaming
+    cut off after 5 ms of simulated time, resuming the same cell next
     pump).  The device is serial: a pump that charged 100 ms of
     simulated I/O would stall every foreground request that arrived
-    meanwhile, so boundedness here *is* the availability story.  Unless
-    ``continuous=True``, pumps are no-ops while no replica is tainted —
-    steady-state repair tax is zero until something actually needs
-    repair.
+    meanwhile, so boundedness here *is* the availability story.  Pumps
+    are no-ops while no replica is tainted — steady-state repair tax is
+    zero until something actually needs repair.
     """
 
     def __init__(
@@ -817,25 +819,18 @@ class AntiEntropyRepairer:
         *,
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
-        n_buckets: int = 16,
-        pump_budget: float = 0.001,
-        pump_io_budget: float = 0.005,
-        continuous: bool = False,
     ):
         self.store = store
         self.clock = store.clock
         self.admission = admission
         self.injector = injector
-        self.n_buckets = n_buckets
-        self.pump_budget = pump_budget
-        self.pump_io_budget = pump_io_budget
-        self.continuous = continuous
         # Round state machine: scan alive replicas one per pump, then
-        # check (node, bucket) cells one per pump.
+        # check (node, bucket) cells one per pump.  A snapshot maps node
+        # -> bucket -> {key: record}.
         self._scan_queue: list[int] = []
         self._cells: list[tuple[int, int]] = []
-        self._building: dict[int, dict[Any, Any]] = {}
-        self._snapshot: dict[int, dict[Any, Any]] | None = None
+        self._building: dict[int, dict[int, dict[Any, Any]]] = {}
+        self._snapshot: dict[int, dict[int, dict[Any, Any]]] | None = None
         self._clean_streak: dict[int, int] = {}
         self.pumps = 0
         self.sheds = 0
@@ -848,7 +843,7 @@ class AntiEntropyRepairer:
     # -- digests -----------------------------------------------------------------
 
     def bucket_of(self, key: Any) -> int:
-        return hash_to_range(key, self.n_buckets, self.store.seed ^ _DIGEST_SALT)
+        return hash_to_range(key, _N_BUCKETS, self.store.seed ^ _DIGEST_SALT)
 
     @staticmethod
     def _chain(records) -> int:
@@ -860,37 +855,45 @@ class AntiEntropyRepairer:
             digest = zlib.crc32(payload, digest)
         return digest
 
-    def _bucketize(self, records) -> dict[int, list[tuple]]:
-        buckets: dict[int, list[tuple]] = {}
+    def _bucketize(self, records) -> dict[int, dict[Any, Any]]:
+        buckets: dict[int, dict[Any, Any]] = {}
         for key, record in records:
-            buckets.setdefault(self.bucket_of(key), []).append((key, record))
+            buckets.setdefault(self.bucket_of(key), {})[key] = record
         return buckets
 
-    def node_digests(self, node_id: int) -> dict[int, int]:
-        """Live per-bucket digests of one replica's stored records (one
-        full scan, charged through the device)."""
-        buckets = self._bucketize(self.store.nodes[node_id].tree.items())
+    def _digests(self, records) -> dict[int, int]:
+        buckets = self._bucketize(records)
         return {
-            b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)
+            b: self._chain(buckets.get(b, {}).items()) for b in range(_N_BUCKETS)
         }
 
-    def expected_digests(self, node_id: int) -> dict[int, int]:
-        """Live per-bucket digests of the union-resolved state this
-        replica *should* hold."""
+    def _winners(self, node_id: int, record_sets) -> dict[Any, Any]:
+        """The max-seq record per key across *record_sets* (iterables of
+        ``(key, record)``, first seen wins a tie), restricted to the keys
+        *node_id* is a replica of: the state that replica should hold."""
         winners: dict[Any, Any] = {}
-        for other in self.store.nodes.values():
-            if not other.alive:
-                continue
-            for key, record in other.tree.items():
+        for records in record_sets:
+            for key, record in records:
                 if node_id not in self.store.replicas_of(key):
                     continue
                 if key not in winners or \
                         _record_seq(record) > _record_seq(winners[key]):
                     winners[key] = record
-        buckets = self._bucketize(winners.items())
-        return {
-            b: self._chain(buckets.get(b, [])) for b in range(self.n_buckets)
-        }
+        return winners
+
+    def node_digests(self, node_id: int) -> dict[int, int]:
+        """Live per-bucket digests of one replica's stored records (one
+        full scan, charged through the device)."""
+        return self._digests(self.store.nodes[node_id].tree.items())
+
+    def expected_digests(self, node_id: int) -> dict[int, int]:
+        """Live per-bucket digests of the union-resolved state this
+        replica *should* hold."""
+        winners = self._winners(node_id, (
+            other.tree.items() for other in self.store.nodes.values()
+            if other.alive
+        ))
+        return self._digests(winners.items())
 
     def converged(self) -> bool:
         """Every alive replica's live digests equal its expected digests."""
@@ -903,47 +906,32 @@ class AntiEntropyRepairer:
     # -- the pump ----------------------------------------------------------------
 
     def _active(self) -> bool:
-        return self.continuous or any(
-            n.tainted for n in self.store.nodes.values()
-        )
+        return any(n.tainted for n in self.store.nodes.values())
 
     @property
     def idle(self) -> bool:
         """True between rounds (no scan or cell in flight)."""
         return not self._scan_queue and not self._cells
 
-    def pump(
-        self,
-        arrival: float | None = None,
-        *,
-        budget: float | None = None,
-        force: bool = False,
-    ) -> bool:
+    def pump(self, arrival: float | None = None, *, force: bool = False) -> bool:
         """One bounded unit of repair work; returns True iff attempted.
 
-        Gating mirrors the reshard pump: admitted at LOW priority, with
-        idle runway before the next arrival.  A unit is one replica scan
-        (building the round's snapshot) or one bucket check; repair
-        streaming inside a bucket stops at ``pump_io_budget`` of
-        simulated time and the cell is retried next pump, so no single
-        pump can stall the serial device for long.
+        Gated like the reshard pump, by
+        :func:`~repro.serve.admission.admit_background` (``force=True``
+        skips the gate).  A unit is one replica scan (building the
+        round's snapshot) or one bucket check; repair streaming inside a
+        bucket stops after 5 ms of simulated time and the cell is
+        retried next pump, so no single pump can stall the serial device
+        for long.
         """
         if not force and not self._active():
             return False
         self.pumps += 1
-        if self.admission is not None and not force:
-            now = self.clock.now() if self.clock else 0.0
-            decision = self.admission.admit(
-                now if arrival is None else arrival, Priority.LOW
-            )
-            lag_cap = self.pump_budget if budget is None else budget
-            runway = 3 * lag_cap
-            headroom = (arrival - now) if arrival is not None else runway
-            if not decision.admitted or decision.queue_delay > lag_cap \
-                    or headroom < runway:
-                self.sheds += 1
-                REPAIR_SHEDS.inc()
-                return False
+        if self.admission is not None and not force \
+                and not admit_background(self.admission, self.clock, arrival):
+            self.sheds += 1
+            REPAIR_SHEDS.inc()
+            return False
         if not self._scan_queue and not self._cells:
             alive = [
                 n for n in sorted(self.store.nodes)
@@ -960,7 +948,7 @@ class AntiEntropyRepairer:
                 self._scan_queue.pop(0)
             else:
                 try:
-                    self._building[node_id] = dict(node.tree.items())
+                    self._building[node_id] = self._bucketize(node.tree.items())
                 except (TransientIOError, CircuitOpenError, DeadlineExceeded):
                     self.io_deferred += 1
                     return True
@@ -968,7 +956,7 @@ class AntiEntropyRepairer:
             if not self._scan_queue:
                 self._snapshot = self._building
                 self._cells = [
-                    (n, b) for n in self._snapshot for b in range(self.n_buckets)
+                    (n, b) for n in self._snapshot for b in range(_N_BUCKETS)
                 ]
                 self.rounds += 1
             return True
@@ -989,7 +977,7 @@ class AntiEntropyRepairer:
     def _io_deadline(self) -> Deadline | None:
         if self.clock is None:
             return None
-        return Deadline.after(self.clock, self.pump_io_budget)
+        return Deadline.after(self.clock, _REPAIR_IO_BUDGET)
 
     def _check_bucket(self, node_id: int, bucket: int) -> bool:
         """Digest-check one cell against the round snapshot, streaming
@@ -999,21 +987,12 @@ class AntiEntropyRepairer:
         snapshot = self._snapshot or {}
         if node_id not in snapshot:
             return True
-        winners: dict[Any, Any] = {}
-        for records in snapshot.values():
-            for key, record in records.items():
-                if self.bucket_of(key) != bucket:
-                    continue
-                if node_id not in self.store.replicas_of(key):
-                    continue
-                if key not in winners or \
-                        _record_seq(record) > _record_seq(winners[key]):
-                    winners[key] = record
-        actual = {
-            key: record for key, record in snapshot[node_id].items()
-            if self.bucket_of(key) == bucket
-        }
-        if self._chain(winners.items()) == self._chain(actual.items()):
+        winners = self._winners(node_id, (
+            buckets.get(bucket, {}).items() for buckets in snapshot.values()
+        ))
+        expected = self._chain(winners.items())
+        actual = snapshot[node_id].setdefault(bucket, {})
+        if expected == self._chain(actual.items()):
             self._mark_clean(node_id)
             return True
         self._crash_point("repair.stream")
@@ -1027,7 +1006,7 @@ class AntiEntropyRepairer:
                 exhausted = False  # resume this cell next pump
                 break
             self.store.nodes[node_id].tree.put(key, record)
-            snapshot[node_id][key] = record
+            actual[key] = record
             repaired += 1
             self.repair_bytes += len(
                 frame(json.dumps([key, record], sort_keys=True,
@@ -1041,11 +1020,7 @@ class AntiEntropyRepairer:
         # Streaming only adds newer records; a replica holding spurious
         # extras still mismatches, resets the streak, and gets re-checked
         # next round.
-        refreshed = {
-            key: record for key, record in snapshot[node_id].items()
-            if self.bucket_of(key) == bucket
-        }
-        if self._chain(winners.items()) == self._chain(refreshed.items()):
+        if expected == self._chain(actual.items()):
             self._mark_clean(node_id)
         else:
             self._clean_streak[node_id] = 0
@@ -1055,7 +1030,7 @@ class AntiEntropyRepairer:
         streak = self._clean_streak.get(node_id, 0) + 1
         self._clean_streak[node_id] = streak
         node = self.store.nodes[node_id]
-        if not node.tainted or streak < self.n_buckets \
+        if not node.tainted or streak < _N_BUCKETS \
                 or self.store.handoff.pending_for(node_id):
             return
         # A taint clear re-enables ABSENT votes, so it must not rest on a
@@ -1084,10 +1059,6 @@ def build_replicated_stack(
     replication: int | None = None,
     read_quorum: int | None = None,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
-    lsm_config: LSMConfig | None = None,
 ):
     """A replicated fleet on the stack rig :func:`repro.serve.sim.build_stack` uses.
 
@@ -1104,7 +1075,6 @@ def build_replicated_stack(
             n_nodes=n_nodes,
             replication=replication,
             read_quorum=read_quorum,
-            config=lsm_config,
             clock=clock,
             detector=FailureDetector(clock),
             injector=injector,
@@ -1112,8 +1082,7 @@ def build_replicated_stack(
         )
 
     served, device, injector, latency, clock = _serving_rig(
-        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
-        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
+        seed, build, n_keys=n_keys, budget=budget,
     )
     repairer = AntiEntropyRepairer(
         served.backend, admission=served.admission, injector=injector
@@ -1150,12 +1119,10 @@ def run_replica_storm(
     n_keys: int = 2_000,
     n_nodes: int = 3,
     *,
-    replication: int | None = None,
     read_quorum: int | None = None,
     phases=None,
     kill_at: int = 0,
     heal_at: int = 0,
-    kill_node: int | None = None,
     wipe: bool = False,
     crash_at_step: str | None = None,
     write_fraction: float = 0.0,
@@ -1164,10 +1131,11 @@ def run_replica_storm(
 ):
     """A chaos storm over a replicated fleet, with a kill/heal in it.
 
-    At request *kill_at* one replica dies (``wipe=True`` destroys its
-    data too); at *heal_at* it comes back.  Every other request tick
-    pumps hinted-handoff replay or anti-entropy repair at background
-    priority, through a :class:`~repro.serve.sim.BackgroundDriver`.
+    At request *kill_at* replica ``1 % n_nodes`` dies (``wipe=True``
+    destroys its data too); at *heal_at* it comes back.  Every other
+    request tick pumps hinted-handoff replay or anti-entropy repair at
+    background priority, through a
+    :class:`~repro.serve.sim.BackgroundDriver`.
     With *crash_at_step* a one-shot crash is armed at that step (e.g.
     ``handoff.replay:applied`` or ``repair.stream``); when it fires, all
     in-memory state is discarded and the fleet recovers from its
@@ -1177,12 +1145,11 @@ def run_replica_storm(
     """
     served, _store, repairer, _device, injector, _latency, clock = (
         build_replicated_stack(
-            seed, n_keys, n_nodes,
-            replication=replication, read_quorum=read_quorum, **stack_kwargs,
+            seed, n_keys, n_nodes, read_quorum=read_quorum, **stack_kwargs,
         )
     )
     report = ReplicaReport()
-    victim = kill_node if kill_node is not None else (1 % n_nodes)
+    victim = 1 % n_nodes
 
     def absorb() -> None:
         handoff = served.backend.handoff

@@ -3,7 +3,7 @@
 ROADMAP #4.  A :class:`ShardedStore` spreads keys across per-shard
 LSM-trees that share one (faulty, breaker-guarded) device through
 :class:`~repro.common.storage.NamespacedDevice` views, routed by a
-versioned :class:`~repro.core.routing.Router`.  A
+versioned :class:`~repro.core.routing.HashRangeRouter`.  A
 :class:`ReshardCoordinator` migrates ownership online through a durable
 state machine::
 
@@ -59,17 +59,14 @@ from repro.common.faults import (
 )
 from repro.common.storage import NamespacedDevice
 from repro.core.errors import ChecksumError
-from repro.core.routing import (
-    SHARD_SALT,
-    ConsistentHashRouter,
-    HashRangeRouter,
-    Router,
-    router_from_manifest,
-)
-from repro.common.hashing import hash64
+from repro.core.routing import HashRangeRouter, router_from_manifest
 from repro.core.serialize import frame, unframe
 from repro.obs.metrics import Counter, Family, Gauge
-from repro.serve.admission import AdmissionConfig, AdmissionController, Priority
+from repro.serve.admission import (
+    BACKGROUND_BUDGET,
+    AdmissionController,
+    admit_background,
+)
 from repro.serve.sim import (
     CALM_STORM_RECOVERY,
     BackgroundDriver,
@@ -124,6 +121,8 @@ _BOTH_OWNER_STEPS = frozenset({
 
 _MISSING = object()  # multi_get sentinel: absent-or-tombstoned
 
+_META_NS = "meta"
+
 
 @dataclass
 class MigrationState:
@@ -131,11 +130,11 @@ class MigrationState:
     journal-backed progress.  A key must move iff the routers disagree
     about its owner."""
 
-    kind: str                     # "split" | "merge" | "expand"
-    source: int | None
+    kind: str                     # "split" | "merge"
+    source: int
     target: int
-    old_router: Router
-    new_router: Router
+    old_router: HashRangeRouter
+    new_router: HashRangeRouter
     step: MigrationStep = MigrationStep.PLANNED
     floor: Any = None             # last key durably processed in this step
     keys_moved: int = 0
@@ -160,13 +159,12 @@ class ShardedStore:
     def __init__(
         self,
         device: Any,
-        router: Router,
+        router: HashRangeRouter,
         *,
         shard_ids=(),
         config: LSMConfig | None = None,
         clock: SimulatedClock | None = None,
         seed: int = 0,
-        meta_namespace: str = "meta",
         write_manifest: bool = True,
     ):
         self.device = device
@@ -176,7 +174,7 @@ class ShardedStore:
         self.config = config if config is not None else LSMConfig(
             memtable_entries=48, retry_attempts=3, seed=seed
         )
-        self._meta = NamespacedDevice(device, meta_namespace)
+        self._meta = NamespacedDevice(device, _META_NS)
         self._meta_retry = RetryPolicy(max_attempts=4, clock=clock)
         self.shards: dict[int, LSMTree] = {}
         self.migration: MigrationState | None = None
@@ -198,14 +196,12 @@ class ShardedStore:
         n_shards: int,
         *,
         seed: int = 0,
-        config: LSMConfig | None = None,
         clock: SimulatedClock | None = None,
     ) -> "ShardedStore":
         """Fresh store: uniform hash-range routing over ``0..n_shards-1``."""
         router = HashRangeRouter.uniform(range(n_shards), seed=seed)
         return cls(
-            device, router, shard_ids=range(n_shards),
-            config=config, clock=clock, seed=seed,
+            device, router, shard_ids=range(n_shards), clock=clock, seed=seed,
         )
 
     # -- shard plumbing ----------------------------------------------------------
@@ -245,19 +241,6 @@ class ShardedStore:
             sid: tree.n_entries_on_disk + len(tree._memtable)
             for sid, tree in self.shards.items()
         }
-
-    def key_histogram(self, shard_id: int) -> list[int]:
-        """The 64-bit routing-hash points of *shard_id*'s live keys.
-
-        One full shard scan (charged through the device, so callers
-        should sample this at planning time, not per request).  Feed to
-        :meth:`HashRangeRouter.split` for a data-driven cut at the
-        observed median instead of the geometric midpoint.
-        """
-        salt = getattr(self.router, "seed", 0) ^ SHARD_SALT
-        return [
-            hash64(key, salt) for key, _ in self.shards[shard_id].items()
-        ]
 
     @property
     def mutation_epoch(self) -> int:
@@ -304,7 +287,6 @@ class ShardedStore:
         clock: SimulatedClock | None = None,
         config: LSMConfig | None = None,
         seed: int = 0,
-        meta_namespace: str = "meta",
     ) -> "ShardedStore":
         """Reopen a store from its devices alone (post-crash).
 
@@ -313,7 +295,7 @@ class ShardedStore:
         persisted epoch.  Migration state, if any, is reattached by
         :meth:`ReshardCoordinator.recover` from the journal.
         """
-        meta = NamespacedDevice(device, meta_namespace)
+        meta = NamespacedDevice(device, _META_NS)
         manifest = load_manifest(meta, "routing")
         if manifest is None:
             raise RuntimeError("no valid routing manifest; cannot recover")
@@ -322,7 +304,7 @@ class ShardedStore:
         router = router_from_manifest(manifest["router"])
         store = cls(
             device, router, shard_ids=(), config=config, clock=clock,
-            seed=seed, meta_namespace=meta_namespace, write_manifest=False,
+            seed=seed, write_manifest=False,
         )
         store._epoch_base = manifest["epoch_base"]
         store._routing_version = manifest["version"]
@@ -332,7 +314,7 @@ class ShardedStore:
 
     # -- reads and writes --------------------------------------------------------
 
-    def _secondary_router(self, mig: MigrationState) -> Router:
+    def _secondary_router(self, mig: MigrationState) -> HashRangeRouter:
         """The inactive router of the migration pair (pre-cutover: new;
         post-cutover: old)."""
         if self.router.epoch == mig.old_router.epoch:
@@ -482,14 +464,12 @@ class ReshardCoordinator:
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
         batch_keys: int = 8,
-        pump_budget: float = 0.001,
     ):
         self.store = store
         self.clock = clock if clock is not None else store.clock
         self.admission = admission
         self.injector = injector
         self.batch_keys = batch_keys
-        self.pump_budget = pump_budget
         self._commits_since_journal = 0
         self.pumps = 0
         self.sheds = 0
@@ -504,31 +484,13 @@ class ReshardCoordinator:
 
     # -- planning ----------------------------------------------------------------
 
-    def plan_split(
-        self,
-        source: int | None = None,
-        target: int | None = None,
-        *,
-        data_driven: bool = False,
-    ) -> MigrationState:
-        """Split the hottest (or given) shard's range onto a new shard.
-
-        With ``data_driven=True`` the cut point comes from the source
-        shard's observed key-hash histogram (median of the busiest
-        range) instead of the geometric midpoint — a balanced split even
-        when the stored keys cluster in one corner of the hash space.
-        The histogram scan is charged at planning time, once.
-        """
+    def plan_split(self) -> MigrationState:
+        """Split the largest shard's widest range onto a new shard."""
         router = self._require_idle()
-        if not isinstance(router, HashRangeRouter):
-            raise TypeError("split requires a HashRangeRouter")
-        if source is None:
-            sizes = self.store.shard_sizes()
-            source = max(sorted(sizes), key=sizes.__getitem__)
-        if target is None:
-            target = max(self.store.shards) + 1
-        histogram = self.store.key_histogram(source) if data_driven else None
-        new_router = router.split(source, target, histogram=histogram)
+        sizes = self.store.shard_sizes()
+        source = max(sorted(sizes), key=sizes.__getitem__)
+        target = max(self.store.shards) + 1
+        new_router = router.split(source, target)
         mig = MigrationState("split", source, target, router, new_router)
         self._install_plan(mig, open_target=True)
         return mig
@@ -536,26 +498,12 @@ class ReshardCoordinator:
     def plan_merge(self, source: int, dest: int) -> MigrationState:
         """Merge *source*'s ranges into *dest* and retire the shard."""
         router = self._require_idle()
-        if not isinstance(router, HashRangeRouter):
-            raise TypeError("merge requires a HashRangeRouter")
         new_router = router.merge(source, dest)
         mig = MigrationState("merge", source, dest, router, new_router)
         self._install_plan(mig, open_target=False)
         return mig
 
-    def plan_expand(self, target: int | None = None) -> MigrationState:
-        """Add a shard to a consistent-hash ring (~1/n of keys move)."""
-        router = self._require_idle()
-        if not isinstance(router, ConsistentHashRouter):
-            raise TypeError("expand requires a ConsistentHashRouter")
-        if target is None:
-            target = max(self.store.shards) + 1
-        new_router = router.with_shard(target)
-        mig = MigrationState("expand", None, target, router, new_router)
-        self._install_plan(mig, open_target=True)
-        return mig
-
-    def _require_idle(self) -> Router:
+    def _require_idle(self) -> HashRangeRouter:
         if self.store.migration is not None:
             raise RuntimeError("a migration is already in progress")
         return self.store.router
@@ -600,37 +548,27 @@ class ReshardCoordinator:
         """Run one background batch of migration work.
 
         Returns True iff work was attempted.  With an admission
-        controller attached, the batch is gated at ``Priority.LOW`` —
-        under overload, migration is shed before any foreground request.
-        With *arrival* (the next foreground request's arrival time), the
-        batch additionally requires at least one pump budget of idle
-        headroom before that arrival, so migration I/O soaks up idle
-        gaps instead of queueing ahead of live traffic.  ``force=True``
-        (post-storm drain) skips both gates.
+        controller attached, the batch must pass
+        :func:`~repro.serve.admission.admit_background` — under overload,
+        and without idle runway before the next foreground *arrival*,
+        migration is shed before any foreground request.  The batch runs
+        under a deadline of *budget* (default
+        :data:`~repro.serve.admission.BACKGROUND_BUDGET`).  ``force=True``
+        (post-storm drain) skips the gate.
         """
         mig = self.store.migration
         if mig is None:
             return False
         self.pumps += 1
-        if self.admission is not None and not force:
-            now = self.clock.now() if self.clock else 0.0
-            decision = self.admission.admit(
-                now if arrival is None else arrival, Priority.LOW
-            )
-            lag_cap = self.pump_budget if budget is None else budget
-            # A batch can overshoot its budget by one flush/compaction
-            # burst, so demand a few budgets of idle runway, not one.
-            runway = 3 * lag_cap
-            headroom = (arrival - now) if arrival is not None else runway
-            if not decision.admitted or decision.queue_delay > lag_cap \
-                    or headroom < runway:
-                self.sheds += 1
-                PUMP_SHEDS.inc()
-                return False
+        if self.admission is not None and not force \
+                and not admit_background(self.admission, self.clock, arrival):
+            self.sheds += 1
+            PUMP_SHEDS.inc()
+            return False
         deadline = None
         if self.clock is not None:
             deadline = Deadline.after(
-                self.clock, self.pump_budget if budget is None else budget
+                self.clock, BACKGROUND_BUDGET if budget is None else budget
             )
         try:
             self._advance(mig, deadline)
@@ -670,11 +608,6 @@ class ReshardCoordinator:
 
     # -- scan-step machinery -----------------------------------------------------
 
-    def _donor_shards(self, mig: MigrationState) -> list[int]:
-        if mig.kind in ("split", "merge"):
-            return [mig.source]
-        return [s for s in sorted(self.store.shards) if s != mig.target]
-
     def _snapshot_moving(self, mig: MigrationState) -> list[Any]:
         """Keys that still need processing in the current scan step.
 
@@ -683,12 +616,10 @@ class ReshardCoordinator:
         DOUBLE_WRITE began are double-applied on arrival, so re-copying
         any of them is merely redundant, never wrong.
         """
-        keys: set[Any] = set()
-        for sid in self._donor_shards(mig):
-            for key, _value in self.store.shards[sid].items():
-                if mig.old_router.owner(key) == sid and mig.moving(key):
-                    keys.add(key)
-        ordered = sorted(keys)
+        ordered = sorted({
+            key for key, _value in self.store.shards[mig.source].items()
+            if mig.old_router.owner(key) == mig.source and mig.moving(key)
+        })
         if mig.floor is not None:
             ordered = [k for k in ordered if k > mig.floor]
         return ordered
@@ -864,13 +795,12 @@ class ReshardCoordinator:
         clock: SimulatedClock | None = None,
         admission: AdmissionController | None = None,
         injector: FaultInjector | None = None,
-        **kwargs,
     ) -> "ReshardCoordinator":
         """Rebuild the coordinator (and the store's migration state) from
         the journal; the resumed step re-executes idempotently."""
         coord = cls(
             store, clock=clock if clock is not None else store.clock,
-            admission=admission, injector=injector, **kwargs,
+            admission=admission, injector=injector,
         )
         records = coord.journal_records()
         plan = next((r for r in records if r["kind"] == "plan"), None)
@@ -932,10 +862,6 @@ def build_sharded_stack(
     n_shards: int = 4,
     *,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
-    lsm_config: LSMConfig | None = None,
 ):
     """A sharded store on the stack rig :func:`repro.serve.sim.build_stack` uses.
 
@@ -947,13 +873,10 @@ def build_sharded_stack(
     """
 
     def build(clock, _injector, _latency, breaker_device):
-        return ShardedStore.create(
-            breaker_device, n_shards, seed=seed, config=lsm_config, clock=clock
-        )
+        return ShardedStore.create(breaker_device, n_shards, seed=seed, clock=clock)
 
     served, device, injector, latency, clock = _serving_rig(
-        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
-        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
+        seed, build, n_keys=n_keys, budget=budget,
     )
     coordinator = ReshardCoordinator(
         served.backend, clock=clock, admission=served.admission, injector=injector
@@ -1001,9 +924,7 @@ def run_reshard_storm(
     phases=None,
     reshard_at: int = 250,
     kind: str = "split",
-    source: int | None = None,
     crash_at_step: str | None = None,
-    drain: bool = True,
     write_fraction: float = 0.0,
     **stack_kwargs,
 ):
@@ -1011,8 +932,10 @@ def run_reshard_storm(
 
     Runs :func:`repro.serve.sim.run_storm` over a sharded stack with a
     :class:`~repro.serve.sim.BackgroundDriver` as its ticker; at request
-    *reshard_at* a split/merge is planned, and every subsequent request
-    pumps one background batch.  With *crash_at_step* set, a one-shot
+    *reshard_at* a split of the largest shard (or a merge of the last
+    shard into the first) is planned, and every subsequent request pumps
+    one background batch until the post-storm drain finishes it.  With
+    *crash_at_step* set, a one-shot
     :class:`~repro.common.faults.SimulatedCrash` is armed at
     ``reshard.<step>``; when it fires, all in-memory state is discarded
     and the stack is recovered from the devices (store + coordinator +
@@ -1063,9 +986,9 @@ def run_reshard_storm(
                 injector.crash_after(f"reshard.{crash_at_step}")
             if kind == "merge":
                 shards = sorted(store.shards)
-                coord.plan_merge(shards[-1] if source is None else source, shards[0])
+                coord.plan_merge(shards[-1], shards[0])
             else:
-                coord.plan_split(source=source)
+                coord.plan_split()
             report.events.append((clock.now(), "planned"))
             return
         if store.migration is None:
@@ -1090,8 +1013,7 @@ def run_reshard_storm(
         served, CALM_STORM_RECOVERY if phases is None else phases,
         Traffic(seed, n_keys), ticker=driver,
     )
-    if drain:
-        driver.drain(drain_step, 50_000)
+    driver.drain(drain_step, 50_000)
     absorb(coord.last_migration)
     store = served.backend
     report.completed = store.migration is None and planned

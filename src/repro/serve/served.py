@@ -114,18 +114,15 @@ class ServedFilter:
     # -- the serving pipeline ----------------------------------------------------
 
     def query(
-        self,
-        key: Any,
-        deadline: float | Deadline | None = None,
-        priority: Priority = Priority.NORMAL,
+        self, key: Any, deadline: float | Deadline | None = None
     ) -> ServedResponse:
-        """Serve one lookup; unpacks as ``(answer, outcome)``.
+        """Serve one NORMAL-priority lookup; unpacks as ``(answer, outcome)``.
 
         *deadline* is either a relative budget in simulated seconds, an
         absolute :class:`~repro.common.clock.Deadline`, or None for the
         facade's default budget.
         """
-        return self.serve(key, deadline=deadline, priority=priority)
+        return self.serve(key, deadline=deadline)
 
     def serve(
         self,

@@ -136,21 +136,22 @@ def _serving_rig(
     *,
     n_keys: int = 0,
     budget: float,
-    base_latency: float,
-    admission_config: AdmissionConfig | None,
-    breaker_kwargs: dict | None = None,
+    base_latency: float = 0.0008,
+    admission_config: AdmissionConfig | None = None,
     device: bool = True,
     negative_cache: NegativeLookupCache | None = None,
 ):
     """The stack every ``build_*`` shares, around one backend.
 
     One clock and one seeded fault/latency injector pair; with *device*,
-    one faulty device behind one breaker bank.  ``build(clock, injector,
-    latency, breaker_device)`` makes the backend, and keys
-    ``0..n_keys`` are loaded into it while latency is switched off, so
-    the load phase is free and the storm's false-negative check has clean
-    ground truth.  Admission control and the :class:`ServedFilter` go on
-    top.  Returns ``(served, device, injector, latency, clock)``.
+    one faulty device behind one breaker bank (a breaker per address,
+    tripping after four samples and cooling down for 50 ms).
+    ``build(clock, injector, latency, breaker_device)`` makes the
+    backend, and keys ``0..n_keys`` are loaded into it while latency is
+    switched off, so the load phase is free and the storm's
+    false-negative check has clean ground truth.  Admission control and
+    the :class:`ServedFilter` go on top.  Returns ``(served, device,
+    injector, latency, clock)``.
     """
     clock = SimulatedClock()
     injector = FaultInjector(seed=seed)
@@ -159,10 +160,7 @@ def _serving_rig(
     faulty = breaker_device = None
     if device:
         faulty = FaultyBlockDevice(injector=injector, latency=latency, clock=clock)
-        breaker_device = BreakerDevice(
-            faulty, clock,
-            **(breaker_kwargs or {"cooldown": 0.05, "min_samples": 4}),
-        )
+        breaker_device = BreakerDevice(faulty, clock, cooldown=0.05, min_samples=4)
     backend = build(clock, injector, latency, breaker_device)
     for key in range(n_keys):
         backend.put(key, f"value-{key}")
@@ -181,9 +179,6 @@ def build_stack(
     n_keys: int = 2_000,
     *,
     budget: float = 0.050,
-    base_latency: float = 0.0008,
-    breaker_kwargs: dict | None = None,
-    admission_config: AdmissionConfig | None = None,
     lsm_config: LSMConfig | None = None,
     cache_mb: float = 0.0,
     cache_policy: str = "lru",
@@ -218,8 +213,7 @@ def build_stack(
         return tree
 
     served, device, injector, latency, clock = _serving_rig(
-        seed, build, n_keys=n_keys, budget=budget, base_latency=base_latency,
-        admission_config=admission_config, breaker_kwargs=breaker_kwargs,
+        seed, build, n_keys=n_keys, budget=budget,
         negative_cache=(
             NegativeLookupCache(negative_cache_entries)
             if negative_cache_entries > 0 else None
@@ -235,26 +229,31 @@ CALM_STORM_RECOVERY = (
 )
 
 
+# Every storm asks for a loaded key half the time, and sends 20% HIGH,
+# 60% NORMAL and 20% LOW priority requests.
+PRESENT_FRACTION = 0.5
+_PRIORITIES = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
+_PRIORITY_WEIGHTS = (0.2, 0.6, 0.2)
+
+
 class Traffic:
     """A storm's seeded request stream.
 
     One RNG draws every arrival gap, key and priority, so a seed replays
     the same storm.  :meth:`pick` names the next request as ``(key,
     present, tenant)``: here a loaded key ``0..n_keys`` with probability
-    *present_fraction*, else a key guaranteed absent, with no tenant.
-    Other topologies subclass it to draw from their own key space.
+    :data:`PRESENT_FRACTION`, else a key guaranteed absent, with no
+    tenant.  Other topologies subclass it to draw from their own key
+    space.
     """
 
-    def __init__(
-        self, seed: int = 0, n_keys: int = 2_000, present_fraction: float = 0.5
-    ):
+    def __init__(self, seed: int = 0, n_keys: int = 2_000):
         self.rng = random.Random(seed ^ 0x570F)
         self.n_keys = n_keys
-        self.present_fraction = present_fraction
 
     def pick(self):
         rng, n = self.rng, self.n_keys
-        present = rng.random() < self.present_fraction
+        present = rng.random() < PRESENT_FRACTION
         return (rng.randrange(n) if present else n + rng.randrange(n)), present, None
 
 
@@ -263,7 +262,6 @@ def run_storm(
     phases=CALM_STORM_RECOVERY,
     traffic: Traffic | None = None,
     *,
-    priority_weights: tuple[float, float, float] = (0.2, 0.6, 0.2),
     ticker=None,
 ) -> StormReport:
     """Drive a phase schedule through *served* and audit the answers.
@@ -288,7 +286,6 @@ def run_storm(
     classes = served.backend.FAULT_CLASSES
     clock = served.clock
     report = StormReport()
-    priorities = (Priority.HIGH, Priority.NORMAL, Priority.LOW)
     arrival = clock.now()
     for phase in phases:
         injector.transient_read = {
@@ -303,7 +300,7 @@ def run_storm(
             if ticker is not None:
                 ticker(arrival)
             key, present, tenant = traffic.pick()
-            priority = rng.choices(priorities, weights=priority_weights)[0]
+            priority = rng.choices(_PRIORITIES, weights=_PRIORITY_WEIGHTS)[0]
             response = served.serve(
                 key, priority=priority, arrival=arrival, tenant=tenant,
             )

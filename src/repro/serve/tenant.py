@@ -50,6 +50,7 @@ from repro.filters.bloom import BloomFilter
 from repro.obs.metrics import Counter, Family, Gauge
 from repro.serve.admission import AdmissionConfig, TenantQuota
 from repro.serve.sim import (
+    PRESENT_FRACTION,
     StormPhase,
     StormReport,
     Traffic,
@@ -183,16 +184,13 @@ class TenantRouter:
             seed=self.config.seed ^ 0xA07,
         )
 
-    def add_tenant(self, tenant, *, authoritative: Any = None) -> None:
+    def add_tenant(self, tenant) -> None:
         if tenant in self._auth:
             raise ValueError(f"tenant {tenant!r} is already provisioned")
         home = self._placement.owner(tenant)
         self.trees[home].add_tenant(tenant)
         self._home[tenant] = home
-        self._auth[tenant] = (
-            authoritative if authoritative is not None
-            else self._make_auth(tenant)
-        )
+        self._auth[tenant] = self._make_auth(tenant)
         self.mutations += 1
 
     def remove_tenant(self, tenant) -> None:
@@ -534,6 +532,9 @@ TENANT_STORM = (
     StormPhase("recovery", 200, transient_read=0.0),
 )
 
+# Base simulated cost of one filter probe: a memory read, not an I/O.
+_PROBE_LATENCY = 2e-5
+
 
 def build_tenant_stack(
     seed: int = 0,
@@ -544,8 +545,6 @@ def build_tenant_stack(
     mode: str = "router",
     quota: TenantQuota | None = None,
     budget: float = 0.050,
-    probe_latency: float = 2e-5,
-    admission_config: AdmissionConfig | None = None,
 ):
     """Assemble the multi-tenant serving stack, fleet pre-loaded.
 
@@ -553,10 +552,11 @@ def build_tenant_stack(
     device: probes charge latency and draw faults in the store itself.
     Tenant *t* (ints ``0..n_tenants-1``) owns keys
     ``t*keys_per_tenant .. (t+1)*keys_per_tenant - 1`` — ground truth
-    the storm's false-negative audit can recompute.  *probe_latency* is
-    the per-filter-probe base cost: small (a memory read, not an I/O),
+    the storm's false-negative audit can recompute.  Each filter probe
+    costs 20 us of simulated time: small (a memory read, not an I/O),
     but at fleet scale it is exactly what makes O(N) flat fan-out blow
-    its deadline while the O(log N) router cruises.
+    its deadline while the O(log N) router cruises.  *quota*, if given,
+    rate-limits each requesting tenant at admission.
     Returns ``(served, store, injector, latency, clock)``.
     """
 
@@ -572,13 +572,9 @@ def build_tenant_stack(
             store.add_tenant(tenant, range(base, base + keys_per_tenant))
         return store
 
-    if admission_config is None:
-        admission_config = AdmissionConfig(tenant_quota=quota)
-    elif quota is not None and admission_config.tenant_quota is None:
-        admission_config.tenant_quota = quota
     served, _device, injector, latency, clock = _serving_rig(
-        seed, build, budget=budget, base_latency=probe_latency,
-        admission_config=admission_config, device=False,
+        seed, build, budget=budget, base_latency=_PROBE_LATENCY,
+        admission_config=AdmissionConfig(tenant_quota=quota), device=False,
     )
     return served, served.backend, injector, latency, clock
 
@@ -593,9 +589,8 @@ class TenantTraffic(Traffic):
 
     def __init__(self, served, report: TenantReport, *, seed: int,
                  keys_per_tenant: int, n_requests: int, zipf_skew: float,
-                 churn_every: int, present_fraction: float):
+                 churn_every: int):
         self.rng = random.Random(seed ^ 0x7E4A47)
-        self.present_fraction = present_fraction
         self.served, self.store, self.report = served, served.backend, report
         self.keys_per_tenant = keys_per_tenant
         self.churn_every = churn_every
@@ -633,7 +628,7 @@ class TenantTraffic(Traffic):
         rng, live = self.rng, self.live
         requester = live[self.rank_seq[self.index] % len(live)]
         self.index += 1
-        present = rng.random() < self.present_fraction
+        present = rng.random() < PRESENT_FRACTION
         if present:
             keys = self.keys_of[live[rng.randrange(len(live))]]
             return keys[rng.randrange(len(keys))], present, requester
@@ -653,22 +648,18 @@ def run_tenant_storm(
     churn_every: int = 0,
     quota: TenantQuota | None = None,
     budget: float = 0.050,
-    probe_latency: float = 2e-5,
-    present_fraction: float = 0.5,
-    priority_weights: tuple[float, float, float] = (0.2, 0.6, 0.2),
-    drain: bool = True,
 ) -> tuple[StormReport, TenantReport, TenantStore]:
     """Zipf multi-tenant traffic with optional churn; audit at the end.
 
     :func:`~repro.serve.sim.run_storm` drives a :class:`TenantTraffic`:
     every request is attributed to a Zipf(*zipf_skew*)-picked requesting
     tenant (billed against its quota bucket); the queried key is a live
-    tenant's key with probability *present_fraction*, else guaranteed
-    absent.  With ``churn_every > 0``, every that-many requests one
+    tenant's key with probability
+    :data:`~repro.serve.sim.PRESENT_FRACTION`, else guaranteed absent.  With ``churn_every > 0``, every that-many requests one
     tenant is deprovisioned (its quota bucket dropped) and a fresh one
     provisioned with new keys — mid-storm, under fire.
 
-    The audit after the (optional) *drain*: zero invariant failures on
+    The audit after the storm: zero invariant failures on
     every tree, and — with chaos switched off — every surviving
     ground-truth key still answered PRESENT (sampled at fleet scale).
     A present key answered ABSENT mid-storm counts as a false negative
@@ -679,18 +670,14 @@ def run_tenant_storm(
         seed,
         n_tenants=n_tenants, keys_per_tenant=keys_per_tenant,
         n_trees=n_trees, mode=mode, quota=quota, budget=budget,
-        probe_latency=probe_latency,
     )
     tenant_report = TenantReport(n_tenants_start=store.n_tenants)
     traffic = TenantTraffic(
         served, tenant_report, seed=seed, keys_per_tenant=keys_per_tenant,
         n_requests=sum(p.n_requests for p in phases), zipf_skew=zipf_skew,
-        churn_every=churn_every, present_fraction=present_fraction,
+        churn_every=churn_every,
     )
-    report = run_storm(
-        served, phases, traffic,
-        priority_weights=priority_weights, ticker=traffic.tick,
-    )
+    report = run_storm(served, phases, traffic, ticker=traffic.tick)
 
     tenant_report.quota_sheds = (
         sum(served.admission.stats.shed_by_tenant.values())
@@ -704,28 +691,27 @@ def run_tenant_storm(
         (t.height for t in store.router.trees.values()), default=0
     )
 
-    if drain:
-        # Chaos off for the audit: what must hold is a property of the
-        # structures, not of a lucky fault draw.
-        injector.transient_read = 0.0
-        latency.slowdown = 0.0
-        latency.spike_prob = 0.0
-        tenant_report.stale_fraction = store.router.stale_fraction()
-        tenant_report.invariant_failures = len(store.router.check_invariants())
-        tenant_report.stale_bits_cleared = store.router.reor_all()
-        tenant_report.invariant_failures += len(store.router.check_invariants())
-        all_keys = [(t, k) for t in traffic.live for k in traffic.keys_of[t]]
-        sample = (
-            all_keys if len(all_keys) <= 2_000
-            else traffic.rng.sample(all_keys, 2_000)
-        )
-        for tenant, key in sample:
-            result = store.lookup(key)
-            tenant_report.audited_keys += 1
-            if result.state is Answer.ABSENT or (
-                result.state is Answer.PRESENT and result.value != tenant
-            ):
-                tenant_report.audit_false_negatives += 1
+    # Chaos off for the audit: what must hold is a property of the
+    # structures, not of a lucky fault draw.
+    injector.transient_read = 0.0
+    latency.slowdown = 0.0
+    latency.spike_prob = 0.0
+    tenant_report.stale_fraction = store.router.stale_fraction()
+    tenant_report.invariant_failures = len(store.router.check_invariants())
+    tenant_report.stale_bits_cleared = store.router.reor_all()
+    tenant_report.invariant_failures += len(store.router.check_invariants())
+    all_keys = [(t, k) for t in traffic.live for k in traffic.keys_of[t]]
+    sample = (
+        all_keys if len(all_keys) <= 2_000
+        else traffic.rng.sample(all_keys, 2_000)
+    )
+    for tenant, key in sample:
+        result = store.lookup(key)
+        tenant_report.audited_keys += 1
+        if result.state is Answer.ABSENT or (
+            result.state is Answer.PRESENT and result.value != tenant
+        ):
+            tenant_report.audit_false_negatives += 1
     tenant_report.reor_runs = sum(
         t.reor_runs for t in store.router.trees.values()
     )

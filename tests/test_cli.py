@@ -138,3 +138,21 @@ class TestServeSimTenantCommand:
     def test_quota_requires_tenants(self):
         with pytest.raises(SystemExit):
             main(["serve-sim", "--tenant-quota", "100"])
+
+
+class TestServeSimArmedCrash:
+    """An armed ``--crash-at-step`` must fire: a typo'd or unreachable
+    step fails the run instead of passing it untested."""
+
+    @pytest.mark.parametrize("topology", [
+        ["--shards", "4", "--reshard-at", "60", "--crash-at-step", "bakfill"],
+        ["--replicas", "3", "--kill-replica-at", "60", "--heal-at", "150",
+         "--crash-at-step", "handoff.replya"],
+    ], ids=["sharded", "replicated"])
+    def test_crash_that_never_fires_fails_the_run(self, topology, capsys):
+        argv = ["serve-sim", "--seed", "0", "--n-keys", "300",
+                "--n-requests", "240", *topology]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "never fired" in out
+        assert "false negatives: 0" in out

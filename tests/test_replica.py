@@ -87,34 +87,11 @@ class TestPreferenceList:
 
 
 class TestHistogramSplit:
-    def test_median_cut_balances_skewed_population(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        # All observed keys cluster in the low tenth of the hash space:
-        # a geometric midpoint split would leave the upper half empty.
-        points = [i * 137 for i in range(200)]
-        split = router.split(0, 1, histogram=points)
-        cut = split.ranges_of(1)[0][0]
-        left = sum(1 for p in points if p < cut)
-        assert abs(left - 100) <= 1  # median cut: half the observed keys
-
     def test_without_histogram_cut_is_geometric_midpoint(self):
         router = HashRangeRouter.uniform([0], seed=4)
         split = router.split(0, 1)
         (lo, hi), = split.ranges_of(1)
         assert lo == 2 ** 63  # midpoint of the full space
-
-    def test_cut_clamped_inside_range(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        # Every observed key at the very bottom: the clamp must keep both
-        # sides non-empty.
-        split = router.split(0, 1, histogram=[0] * 50)
-        (lo, hi), = split.ranges_of(1)
-        assert 0 < lo < 2 ** 64
-
-    def test_empty_histogram_falls_back_to_midpoint(self):
-        router = HashRangeRouter.uniform([0], seed=4)
-        assert router.split(0, 1, histogram=[]).bounds == \
-            router.split(0, 1).bounds
 
 
 # -- failure detection -------------------------------------------------------------
