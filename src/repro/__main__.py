@@ -53,6 +53,9 @@ serve-sim [--seed S] [--n-requests N] [--fault-rate R] [--budget-ms B]
     many requests mid-storm, ``--tenant-quota`` enables per-tenant
     token-bucket admission at that rate, and ``--tenant-mode flat``
     runs the O(N) fan-out control the router is benchmarked against.
+    A flag the chosen stack does not read (``--cache-mb`` with
+    ``--shards``, ``--heal-at`` without ``--kill-replica-at``, …) is a
+    usage error.
 
 (For end-to-end demonstrations, run the scripts in ``examples/``.)
 """
@@ -480,6 +483,34 @@ def _serve_sim_tenant(args, phases) -> int:
     return 0 if ok else 1
 
 
+# serve-sim's topology-selecting flags and the stack each one selects.
+_TOPOLOGIES = {"shards": "sharded", "replicas": "replicated", "tenants": "tenant"}
+
+# Every other serve-sim flag whose value only some stacks read:
+# dest -> (stacks that read it, flags of which one must also be given).
+# Giving a flag its stack ignores is an error, not a silent no-op.
+_SERVE_SIM_FLAGS = {
+    "n_keys": ({"classic", "sharded", "replicated"}, ()),
+    "cache_mb": ({"classic"}, ()),
+    "cache_policy": ({"classic"}, ("cache_mb",)),
+    "negative_cache": ({"classic"}, ()),
+    "journal_out": ({"sharded", "replicated"}, ()),
+    "reshard_at": ({"sharded"}, ()),
+    "reshard_kind": ({"sharded"}, ("reshard_at",)),
+    "crash_at_step": ({"sharded", "replicated"},
+                      ("reshard_at", "kill_replica_at")),
+    "repl_quorum": ({"replicated"}, ()),
+    "kill_replica_at": ({"replicated"}, ()),
+    "heal_at": ({"replicated"}, ("kill_replica_at",)),
+    "wipe_replica": ({"replicated"}, ("kill_replica_at",)),
+    "tenant_zipf": ({"tenant"}, ()),
+    "tenant_churn": ({"tenant"}, ()),
+    "tenant_quota": ({"tenant"}, ()),
+    "tenant_mode": ({"tenant"}, ()),
+    "tenant_trees": ({"tenant"}, ()),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -601,39 +632,36 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--fault-rate must be in [0, 1]")
         if args.budget_ms <= 0:
             parser.error("--budget-ms must be positive")
-        if args.cache_mb < 0:
-            parser.error("--cache-mb must be non-negative")
-        if args.negative_cache < 0:
-            parser.error("--negative-cache must be non-negative")
-        if args.shards < 0:
-            parser.error("--shards must be non-negative")
-        if args.replicas < 0:
-            parser.error("--replicas must be non-negative")
-        if args.replicas > 0 and args.shards > 0:
-            parser.error("--replicas and --shards are mutually exclusive")
-        if args.tenants < 0:
-            parser.error("--tenants must be non-negative")
-        if args.tenants > 0 and (args.shards > 0 or args.replicas > 0):
-            parser.error("--tenants is mutually exclusive with "
-                         "--shards/--replicas")
-        if args.tenant_churn > 0 and args.tenants <= 0:
-            parser.error("--tenant-churn requires --tenants")
-        if args.tenant_quota > 0 and args.tenants <= 0:
-            parser.error("--tenant-quota requires --tenants")
+        for dest in ("cache_mb", "negative_cache", "shards", "replicas",
+                     "tenants", "reshard_at", "kill_replica_at", "heal_at",
+                     "repl_quorum", "tenant_churn", "tenant_quota"):
+            if getattr(args, dest) < 0:
+                parser.error(f"--{dest.replace('_', '-')} must be non-negative")
+        chosen = [flag for flag in _TOPOLOGIES if getattr(args, flag) > 0]
+        if len(chosen) > 1:
+            parser.error("--shards, --replicas and --tenants are mutually "
+                         "exclusive")
+        topology = _TOPOLOGIES[chosen[0]] if chosen else "classic"
+        given = {dest for dest in _SERVE_SIM_FLAGS
+                 if getattr(args, dest) != p_serve.get_default(dest)}
+        for dest in sorted(given):
+            users, needs = _SERVE_SIM_FLAGS[dest]
+            flag = "--" + dest.replace("_", "-")
+            if topology not in users:
+                parser.error(f"{flag} is not used by the {topology} stack "
+                             f"(only by: {', '.join(sorted(users))})")
+            if needs and not given & set(needs):
+                parser.error(f"{flag} requires " + " or ".join(
+                    "--" + need.replace("_", "-") for need in needs))
         if args.tenant_trees < 1:
             parser.error("--tenant-trees must be positive")
-        if args.reshard_at > 0 and args.shards <= 0:
-            parser.error("--reshard-at requires --shards")
-        if args.kill_replica_at > 0 and args.replicas <= 0:
-            parser.error("--kill-replica-at requires --replicas")
-        if args.heal_at > 0 and args.kill_replica_at <= 0:
-            parser.error("--heal-at requires --kill-replica-at")
         if args.heal_at > 0 and args.heal_at <= args.kill_replica_at:
             parser.error("--heal-at must come after --kill-replica-at")
-        if args.crash_at_step and args.reshard_at <= 0 \
-                and args.kill_replica_at <= 0:
-            parser.error("--crash-at-step requires --reshard-at or "
-                         "--kill-replica-at")
+        from repro.serve.replica import REPLICATION
+
+        if args.repl_quorum > min(REPLICATION, args.replicas):
+            parser.error("--repl-quorum exceeds the replication factor "
+                         f"({min(REPLICATION, args.replicas)})")
         return _cmd_serve_sim(args)
     parser.error(f"unknown command {args.command!r}")
     return 2

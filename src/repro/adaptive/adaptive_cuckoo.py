@@ -16,7 +16,7 @@ from repro.common.hashing import fingerprint, hash64, hash_to_range, splitmix64
 from repro.core.errors import DeletionError, FilterFullError
 from repro.core.interfaces import AdaptiveFilter, Key
 
-DEFAULT_BUCKET_SIZE = 4
+BUCKET_SIZE = 4
 MAX_KICKS = 500
 SELECTOR_BITS = 2
 N_SELECTORS = 1 << SELECTOR_BITS
@@ -41,7 +41,6 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
         n_buckets: int,
         fingerprint_bits: int,
         *,
-        bucket_size: int = DEFAULT_BUCKET_SIZE,
         seed: int = 0,
     ):
         if n_buckets < 1:
@@ -50,7 +49,6 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
             raise ValueError("fingerprint_bits must be in [1, 56]")
         self.n_buckets = 1 << max(1, (n_buckets - 1).bit_length())
         self.fingerprint_bits = fingerprint_bits
-        self.bucket_size = bucket_size
         self.seed = seed
         self._buckets: list[list[_Slot]] = [[] for _ in range(self.n_buckets)]
         self._n = 0
@@ -84,7 +82,7 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
     def insert(self, key: Key) -> None:
         i1, i2 = self._candidate_buckets(key)
         for index in (i1, i2):
-            if len(self._buckets[index]) < self.bucket_size:
+            if len(self._buckets[index]) < BUCKET_SIZE:
                 self._buckets[index].append(_Slot(self._fp(key, 0), 0, key))
                 self._n += 1
                 return
@@ -92,11 +90,11 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
         index = i1 if self._rng.random() < 0.5 else i2
         current = _Slot(self._fp(key, 0), 0, key)
         for _ in range(MAX_KICKS):
-            victim_pos = int(self._rng.integers(self.bucket_size))
+            victim_pos = int(self._rng.integers(BUCKET_SIZE))
             bucket = self._buckets[index]
             current, bucket[victim_pos] = bucket[victim_pos], current
             index = self._alt_index(index, current.key)
-            if len(self._buckets[index]) < self.bucket_size:
+            if len(self._buckets[index]) < BUCKET_SIZE:
                 self._buckets[index].append(current)
                 self._n += 1
                 return
@@ -144,7 +142,7 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
     def size_in_bits(self) -> int:
         """Fingerprint + selector bits per slot (keys live with the remote
         dictionary and are not charged, as in the ACF paper)."""
-        return self.n_buckets * self.bucket_size * (
+        return self.n_buckets * BUCKET_SIZE * (
             self.fingerprint_bits + SELECTOR_BITS
         )
 
@@ -156,7 +154,7 @@ class AdaptiveCuckooFilter(AdaptiveFilter):
             raise ValueError("capacity must be positive")
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
-        b = DEFAULT_BUCKET_SIZE
+        b = BUCKET_SIZE
         f = max(1, math.ceil(math.log2(2 * b / epsilon)))
         n_buckets = max(1, math.ceil(capacity / (0.95 * b)))
         return cls(n_buckets, f, seed=seed)

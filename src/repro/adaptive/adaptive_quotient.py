@@ -12,14 +12,11 @@ previously fixed key.
 
 from __future__ import annotations
 
-import math
-
-from repro.common.hashing import hash64, hash_to_range
+from repro.adaptive.bucketed import BucketedSlotFilter
+from repro.common.hashing import hash64
 from repro.common.varint import elias_gamma_bits
-from repro.core.errors import DeletionError, FilterFullError
-from repro.core.interfaces import AdaptiveFilter, Key
+from repro.core.interfaces import Key
 
-DEFAULT_BUCKET_CELLS = 8
 _MAX_EXTENSION = 48
 
 
@@ -32,33 +29,17 @@ class _Slot:
         self.key = key  # remote representation
 
 
-class AdaptiveQuotientFilter(AdaptiveFilter):
+class AdaptiveQuotientFilter(BucketedSlotFilter):
     """Fingerprint-extending, monotonically adaptive filter."""
 
-    supports_deletes = True
+    MAX_FINGERPRINT_BITS = 40
+    _BUCKET_SALT = 0xA0F
+    _FULL_MESSAGE = "adaptive quotient filter at max load"
 
-    def __init__(
-        self,
-        n_buckets: int,
-        fingerprint_bits: int,
-        *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        seed: int = 0,
-    ):
-        if n_buckets < 1:
-            raise ValueError("n_buckets must be positive")
-        if not 1 <= fingerprint_bits <= 40:
-            raise ValueError("fingerprint_bits must be in [1, 40]")
-        self.n_buckets = n_buckets
-        self.base_bits = fingerprint_bits
-        self.bucket_cells = bucket_cells
-        self.seed = seed
-        self._buckets: list[list[_Slot]] = [[] for _ in range(n_buckets)]
-        self._n = 0
-        self.adaptations = 0
-
-    def _bucket_of(self, key: Key) -> int:
-        return hash_to_range(key, self.n_buckets, self.seed ^ 0xA0F)
+    @property
+    def base_bits(self) -> int:
+        """Fingerprint length every slot starts with."""
+        return self.fingerprint_bits
 
     def _hash_bits(self, key: Key, length: int) -> int:
         """The first *length* fingerprint bits of *key* (from a 64-bit pool)."""
@@ -67,34 +48,17 @@ class AdaptiveQuotientFilter(AdaptiveFilter):
         h = hash64(key, self.seed ^ 0xBEEF)
         return h >> (64 - length)
 
-    @property
-    def capacity(self) -> int:
-        return int(self.n_buckets * self.bucket_cells * 0.85)
-
-    def insert(self, key: Key) -> None:
-        # Buckets are logically unbounded (the physical QF layout shifts
-        # overflow into neighbouring slots); only the global load is capped.
-        if self._n >= self.capacity:
-            raise FilterFullError("adaptive quotient filter at max load")
-        bucket = self._buckets[self._bucket_of(key)]
-        bucket.append(_Slot(self.base_bits, self._hash_bits(key, self.base_bits), key))
-        self._n += 1
+    def _new_slot(self, key: Key) -> _Slot:
+        return _Slot(self.base_bits, self._hash_bits(key, self.base_bits), key)
 
     def _matches(self, slot: _Slot, key: Key) -> bool:
         return slot.value == self._hash_bits(key, slot.length)
 
-    def may_contain(self, key: Key) -> bool:
-        bucket = self._buckets[self._bucket_of(key)]
-        return any(self._matches(slot, key) for slot in bucket)
-
-    def delete(self, key: Key) -> None:
-        bucket = self._buckets[self._bucket_of(key)]
-        for pos, slot in enumerate(bucket):
-            if self._matches(slot, key):
-                bucket.pop(pos)
-                self._n -= 1
-                return
-        raise DeletionError("delete of a key that was never inserted")
+    def _extra_bits(self, slot: _Slot) -> int:
+        """Extension bits plus their gamma-coded length."""
+        return (slot.length - self.base_bits) + elias_gamma_bits(
+            slot.length - self.base_bits + 1
+        )
 
     def report_false_positive(self, key: Key) -> None:
         """Extend every colliding fingerprint until *key* stops matching.
@@ -113,22 +77,6 @@ class AdaptiveQuotientFilter(AdaptiveFilter):
             if adapted:
                 self.adaptations += 1
 
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def size_in_bits(self) -> int:
-        """Base fingerprint slots + gamma-coded extension lengths."""
-        extension_bits = sum(
-            (slot.length - self.base_bits)
-            + elias_gamma_bits(slot.length - self.base_bits + 1)
-            for bucket in self._buckets
-            for slot in bucket
-        )
-        return (
-            self.n_buckets * self.bucket_cells * self.base_bits + extension_bits
-        )
-
     @property
     def adaptivity_bits(self) -> int:
         """Total extension bits currently carried (the broom-filter budget)."""
@@ -137,16 +85,3 @@ class AdaptiveQuotientFilter(AdaptiveFilter):
             for bucket in self._buckets
             for slot in bucket
         )
-
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, epsilon: float, *, seed: int = 0
-    ) -> "AdaptiveQuotientFilter":
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        cells = DEFAULT_BUCKET_CELLS
-        n_buckets = max(1, math.ceil(capacity / (0.85 * cells)))
-        f = max(1, math.ceil(math.log2(cells / epsilon)))
-        return cls(n_buckets, f, seed=seed)

@@ -57,22 +57,17 @@ class DictionaryStats:
 class FilteredDictionary:
     """A key/value dictionary guarded by a (possibly adaptive) filter.
 
-    An optional :class:`~repro.cache.NegativeLookupCache` memoizes
-    authoritative ABSENT answers (filter negatives and confirmed false
-    positives), versioned by ``mutation_epoch`` — every :meth:`put` /
-    :meth:`remove` bumps the epoch, so a cached ABSENT can never survive
-    a mutation that might contradict it.  Late (deadline-expired) and
-    degraded MAYBE results never populate it (docs/robustness.md).
+    Every :meth:`put` / :meth:`remove` bumps ``mutation_epoch``, so a
+    negative cache in front of this dictionary (the serving layer's)
+    never serves an ABSENT a later mutation could contradict.
     """
 
-    def __init__(self, filt, *, device: BlockDevice | None = None,
-                 negative_cache: Any = None):
+    def __init__(self, filt, *, device: BlockDevice | None = None):
         self._filter = filt
         self._device = device if device is not None else BlockDevice()
         self._adaptive = isinstance(filt, AdaptiveFilter)
         self.stats = DictionaryStats()
         self.mutation_epoch = 0
-        self.negative_cache = negative_cache
 
     @property
     def filter(self):
@@ -121,20 +116,10 @@ class FilteredDictionary:
         self.stats.queries += 1
         if deadline is not None and deadline.expired():
             return LookupResult(Answer.MAYBE, complete=False, reason="deadline")
-        if self.negative_cache is not None and self.negative_cache.known_absent(
-            key, self.mutation_epoch
-        ):
-            # A memoized authoritative ABSENT under the current epoch —
-            # no filter probe, no device read, and no adaptive feedback
-            # (the first confirmation already fed the filter).
-            QUERIES.labels(outcome="negative").inc()
-            return LookupResult(Answer.ABSENT)
         with trace("filter.probe"):
             maybe = self._filter.may_contain(key)
         if not maybe:
             QUERIES.labels(outcome="negative").inc()
-            if self.negative_cache is not None:
-                self.negative_cache.record_absent(key, self.mutation_epoch)
             return LookupResult(Answer.ABSENT)
         self.stats.disk_reads += 1
         try:
@@ -167,14 +152,6 @@ class FilteredDictionary:
             # answer can never masquerade as meeting its SLO.
             result.state, result.complete, result.reason = (
                 Answer.MAYBE, False, "deadline")
-        if (
-            self.negative_cache is not None
-            and result.complete
-            and result.state is Answer.ABSENT
-        ):
-            # Only a complete, in-budget ABSENT is cacheable; the late
-            # MAYBE above never reaches this point with ABSENT state.
-            self.negative_cache.record_absent(key, self.mutation_epoch)
         return result
 
     def get_many(self, keys: KeyBatch, default: Any = None,
@@ -197,31 +174,16 @@ class FilteredDictionary:
             return []
         self.stats.queries += len(key_list)
         results: list[Any] = [default] * len(key_list)
-        cached_absent: set[int] = set()
-        if self.negative_cache is not None:
-            cached_absent = {
-                i for i, key in enumerate(key_list)
-                if self.negative_cache.known_absent(key, self.mutation_epoch)
-            }
-            if cached_absent:
-                QUERIES.labels(outcome="negative").inc(len(cached_absent))
         probe = getattr(self._filter, "may_contain_many", None)
         if probe is not None:
             maybes = np.asarray(probe(key_list), dtype=bool).tolist()
         else:
             maybes = [self._filter.may_contain(k) for k in key_list]
-        negatives = sum(
-            1 for i, maybe in enumerate(maybes)
-            if not maybe and i not in cached_absent
-        )
+        negatives = sum(1 for maybe in maybes if not maybe)
         if negatives:
             QUERIES.labels(outcome="negative").inc(negatives)
         for i, (key, maybe) in enumerate(zip(key_list, maybes)):
-            if i in cached_absent:
-                continue
             if not maybe:
-                if self.negative_cache is not None:
-                    self.negative_cache.record_absent(key, self.mutation_epoch)
                 continue
             if deadline is not None and deadline.expired():
                 raise DeadlineExceeded(
@@ -235,8 +197,6 @@ class FilteredDictionary:
                 continue
             self.stats.false_positives += 1
             QUERIES.labels(outcome="false_positive").inc()
-            if self.negative_cache is not None:
-                self.negative_cache.record_absent(key, self.mutation_epoch)
             if self._adaptive:
                 self._filter.report_false_positive(key)
                 self.stats.adaptations_fed_back += 1

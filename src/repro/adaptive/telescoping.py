@@ -14,14 +14,10 @@ claim rests on.
 
 from __future__ import annotations
 
-import math
-
-from repro.common.hashing import fingerprint, hash_to_range
+from repro.adaptive.bucketed import BucketedSlotFilter
+from repro.common.hashing import fingerprint
 from repro.common.varint import elias_gamma_bits
-from repro.core.errors import DeletionError, FilterFullError
-from repro.core.interfaces import AdaptiveFilter, Key
-
-DEFAULT_BUCKET_CELLS = 8
+from repro.core.interfaces import Key
 
 
 class _Slot:
@@ -33,105 +29,33 @@ class _Slot:
         self.key = key  # remote representation
 
 
-class TelescopingFilter(AdaptiveFilter):
+class TelescopingFilter(BucketedSlotFilter):
     """Single-table filter with variable-length per-slot hash selectors."""
 
-    supports_deletes = True
-
-    def __init__(
-        self,
-        n_buckets: int,
-        fingerprint_bits: int,
-        *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        seed: int = 0,
-    ):
-        if n_buckets < 1:
-            raise ValueError("n_buckets must be positive")
-        if not 1 <= fingerprint_bits <= 56:
-            raise ValueError("fingerprint_bits must be in [1, 56]")
-        self.n_buckets = n_buckets
-        self.fingerprint_bits = fingerprint_bits
-        self.bucket_cells = bucket_cells
-        self.seed = seed
-        self._buckets: list[list[_Slot]] = [[] for _ in range(n_buckets)]
-        self._n = 0
-        self.adaptations = 0
-
-    def _bucket_of(self, key: Key) -> int:
-        return hash_to_range(key, self.n_buckets, self.seed ^ 0x7E1E)
+    MAX_FINGERPRINT_BITS = 56
+    _BUCKET_SALT = 0x7E1E
+    _FULL_MESSAGE = "telescoping filter at max load"
 
     def _fp(self, key: Key, selector: int) -> int:
         return fingerprint(
             key, self.fingerprint_bits, self.seed ^ 0x5C0 ^ (selector * 0x9E37)
         )
 
-    @property
-    def capacity(self) -> int:
-        return int(self.n_buckets * self.bucket_cells * 0.85)
+    def _new_slot(self, key: Key) -> _Slot:
+        return _Slot(self._fp(key, 0), 0, key)
 
-    def insert(self, key: Key) -> None:
-        # Buckets are logically unbounded (the physical QF layout shifts
-        # overflow into neighbouring slots); only the global load is capped.
-        if self._n >= self.capacity:
-            raise FilterFullError("telescoping filter at max load")
-        bucket = self._buckets[self._bucket_of(key)]
-        bucket.append(_Slot(self._fp(key, 0), 0, key))
-        self._n += 1
+    def _matches(self, slot: _Slot, key: Key) -> bool:
+        return slot.fp == self._fp(key, slot.selector)
 
-    def may_contain(self, key: Key) -> bool:
-        bucket = self._buckets[self._bucket_of(key)]
-        return any(slot.fp == self._fp(key, slot.selector) for slot in bucket)
-
-    def delete(self, key: Key) -> None:
-        bucket = self._buckets[self._bucket_of(key)]
-        for pos, slot in enumerate(bucket):
-            if slot.fp == self._fp(key, slot.selector):
-                bucket.pop(pos)
-                self._n -= 1
-                return
-        raise DeletionError("delete of a key that was never inserted")
+    def _extra_bits(self, slot: _Slot) -> int:
+        """The gamma-coded selector (keys are remote)."""
+        return elias_gamma_bits(slot.selector + 1)
 
     def report_false_positive(self, key: Key) -> None:
         """Telescope every matching slot to its next hash selector."""
         bucket = self._buckets[self._bucket_of(key)]
         for slot in bucket:
-            if slot.fp == self._fp(key, slot.selector):
+            if self._matches(slot, key):
                 slot.selector += 1  # unbounded: the code is variable-length
                 slot.fp = self._fp(slot.key, slot.selector)
                 self.adaptations += 1
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def size_in_bits(self) -> int:
-        """Fingerprints + gamma-coded selectors (keys are remote)."""
-        selector_bits = sum(
-            elias_gamma_bits(slot.selector + 1)
-            for bucket in self._buckets
-            for slot in bucket
-        )
-        return self.n_buckets * self.bucket_cells * self.fingerprint_bits + selector_bits
-
-    @property
-    def adaptivity_bits(self) -> int:
-        """Extra bits currently spent on selectors above the 1-bit floor."""
-        return sum(
-            elias_gamma_bits(slot.selector + 1) - 1
-            for bucket in self._buckets
-            for slot in bucket
-        )
-
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, epsilon: float, *, seed: int = 0
-    ) -> "TelescopingFilter":
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        cells = DEFAULT_BUCKET_CELLS
-        n_buckets = max(1, math.ceil(capacity / (0.85 * cells)))
-        f = max(1, math.ceil(math.log2(cells / epsilon)))
-        return cls(n_buckets, f, seed=seed)

@@ -17,6 +17,8 @@ from collections.abc import Iterable
 from repro.filters.bloom import BloomFilter
 from repro.workloads.dna import BASES
 
+CASCADE_EPSILON = 0.05  # FPR of the cascade's B2 and B3 levels
+
 
 def neighbours(kmer: str) -> list[str]:
     """The (up to) 8 potential de Bruijn neighbours of *kmer*."""
@@ -121,7 +123,6 @@ class CascadingBloomDeBruijn:
         kmers: Iterable[str],
         *,
         epsilon: float = 0.01,
-        cascade_epsilon: float = 0.05,
         seed: int = 0,
     ):
         base = FilterBackedDeBruijn(kmers, epsilon=epsilon, exact=True, seed=seed)
@@ -131,11 +132,11 @@ class CascadingBloomDeBruijn:
         true_set = base._kmers
         critical = base._critical
 
-        self._b2 = self._bloom_of(critical, cascade_epsilon, seed ^ 2)
+        self._b2 = self._bloom_of(critical, CASCADE_EPSILON, seed ^ 2)
         caught_true = (
             {k for k in true_set if self._b2.may_contain(k)} if self._b2 else set()
         )
-        self._b3 = self._bloom_of(caught_true, cascade_epsilon, seed ^ 3)
+        self._b3 = self._bloom_of(caught_true, CASCADE_EPSILON, seed ^ 3)
         self._t4 = (
             {c for c in critical if self._b3.may_contain(c)} if self._b3 else critical
         )

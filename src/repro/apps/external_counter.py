@@ -32,18 +32,16 @@ class ExternalQuotientCounter:
         epsilon: float,
         *,
         seed: int = 0,
-        device: BlockDevice | None = None,
     ):
         if shard_capacity <= 0:
             raise ValueError("shard_capacity must be positive")
         self.shard_capacity = shard_capacity
         self.epsilon = epsilon
         self.seed = seed
-        self.device = device if device is not None else BlockDevice()
+        self.device = BlockDevice()
         self._active = self._new_shard()
         self._spilled: list[int] = []  # shard ids on the device
         self._next_shard = 0
-        self._total = 0
 
     def _new_shard(self) -> QuotientFilter:
         return QuotientFilter.for_capacity(
@@ -55,7 +53,6 @@ class ExternalQuotientCounter:
         if len(self._active) >= self._active.capacity:
             self._spill()
         self._active.insert(key)
-        self._total += 1
 
     def _spill(self) -> None:
         """Write the active shard to the device as a sorted fingerprint run."""
@@ -71,10 +68,6 @@ class ExternalQuotientCounter:
     @property
     def n_spilled_shards(self) -> int:
         return len(self._spilled)
-
-    @property
-    def total_ingested(self) -> int:
-        return self._total
 
     def finalize(self) -> QuotientFilter:
         """Streaming k-way merge of all shards into one quotient filter.

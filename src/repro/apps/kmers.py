@@ -82,10 +82,6 @@ class KmerCounter:
         return self.count(kmer) > 0
 
     @property
-    def n_kmers_total(self) -> int:
-        return len(self._cqf)
-
-    @property
     def n_distinct(self) -> int:
         return self._cqf.n_distinct_fingerprints
 

@@ -142,8 +142,7 @@ class _Run:
     __slots__ = ("run_id", "level", "keys", "values", "filter", "range_filter",
                  "seq", "degraded")
 
-    def __init__(self, run_id, level, keys, values, filt, range_filter, seq,
-                 degraded=False):
+    def __init__(self, run_id, level, keys, values, filt, range_filter, seq):
         self.run_id = run_id
         self.level = level
         self.keys = keys  # sorted list[int]
@@ -151,7 +150,7 @@ class _Run:
         self.filter = filt
         self.range_filter = range_filter
         self.seq = seq  # recency: larger = newer data
-        self.degraded = degraded  # filter unrecoverable: always probe
+        self.degraded = False  # filter unrecoverable: always probe
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -13,9 +13,8 @@ PAPERS.md).  This package is that missing half, RocksDB-style:
   verdicts, invalidation versioned by run id (run ids are never
   reused), so a stale ABSENT is impossible by construction.
 * :class:`NegativeLookupCache` — authoritative-ABSENT memoization for
-  :class:`~repro.serve.served.ServedFilter` and
-  :class:`~repro.adaptive.dictionary.FilteredDictionary`, versioned by
-  the backend's mutation epoch.  Degraded/timed-out MAYBE answers never
+  :class:`~repro.serve.served.ServedFilter`, versioned by the backend's
+  mutation epoch.  Degraded/timed-out MAYBE answers never
   populate it (docs/robustness.md).
 
 Everything is metered through :mod:`repro.obs` (hits, misses,

@@ -55,12 +55,6 @@ class BitVector:
             self.words, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64)
         )
 
-    def test_all(self, indexes: np.ndarray | list[int]) -> bool:
-        """True iff every bit in *indexes* is set."""
-        idx = np.asarray(indexes, dtype=np.int64)
-        bits = (self.words[idx >> 6] >> (idx & 63).astype(np.uint64)) & np.uint64(1)
-        return bool(bits.all())
-
     def test_many(self, indexes: np.ndarray | list[int]) -> np.ndarray:
         """Per-index bit values as a bool array (vectorised gather).
 

@@ -222,11 +222,6 @@ class FaultInjector:
             return
         self._crash_at = step_name
 
-    @property
-    def armed_crash(self) -> str | None:
-        """The step the next matching :meth:`maybe_crash` will die at."""
-        return self._crash_at
-
     def maybe_crash(self, step_name: str) -> None:
         """Crash point: dies iff armed for exactly this *step_name*."""
         if self._crash_at is not None and self._crash_at == step_name:
@@ -349,10 +344,6 @@ class FaultyBlockDevice:
     @property
     def stats(self) -> IOStats:
         return self.inner.stats
-
-    @property
-    def fault_stats(self) -> FaultStats:
-        return self.injector.stats
 
     def corrupted_addresses(self) -> frozenset:
         """Live addresses whose stored payload the device has corrupted —

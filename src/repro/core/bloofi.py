@@ -454,18 +454,6 @@ class BloofiTree:
         result.probes = probes
         return result
 
-    def may_contain_any(self, key: Key) -> bool:
-        """True iff some tenant's filter may hold *key* (a full
-        descent; the candidate list is built and discarded)."""
-        return bool(self.candidates(key).tenants)
-
-    def tenant_may_contain(self, tenant, key: Key) -> bool:
-        """Direct leaf probe, no descent (the per-tenant fast path)."""
-        leaf = self._leaves.get(tenant)
-        if leaf is None:
-            raise KeyError(f"tenant {tenant!r} is not indexed")
-        return leaf.filter.may_contain(key)
-
     # -- staleness maintenance --------------------------------------------------
 
     def reor(self) -> int:

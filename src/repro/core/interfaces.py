@@ -34,7 +34,7 @@ import numpy as np
 
 Key = int | str | bytes
 
-KeyBatch = "Sequence[Key] | np.ndarray"
+KeyBatch = Sequence[Key] | np.ndarray
 
 
 def as_key_list(keys) -> list:

@@ -29,6 +29,7 @@ from repro.common.hashing import hash64, hash_to_range
 SHARD_SALT = 0x5AAD
 
 _SPACE = 1 << 64  # routers partition the full 64-bit hash space
+VNODES = 16  # ring points per shard in ConsistentHashRouter
 
 
 class Router:
@@ -190,23 +191,20 @@ class ConsistentHashRouter(Router):
 
     The placement ring for replicas and tenants: a key's preference list
     is a ring walk, so placements stay stable for a fixed shard set.
-    ``vnodes`` virtual points per shard keep the per-shard load spread
+    ``VNODES`` virtual points per shard keep the per-shard load spread
     tight.
     """
 
-    def __init__(self, shard_ids, *, seed: int = 0, vnodes: int = 16):
+    def __init__(self, shard_ids, *, seed: int = 0):
         super().__init__()
         ids = sorted(set(shard_ids))
         if not ids:
             raise ValueError("need at least one shard")
-        if vnodes < 1:
-            raise ValueError("vnodes must be positive")
         self.seed = seed
-        self.vnodes = vnodes
         self._ids = tuple(ids)
         points = []
         for shard in ids:
-            for v in range(vnodes):
+            for v in range(VNODES):
                 points.append((hash64(f"vnode:{shard}:{v}", seed), shard))
         points.sort()
         self._points = points

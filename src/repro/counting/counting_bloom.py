@@ -87,11 +87,6 @@ class CountingBloomFilter(CountingFilter):
     def size_in_bits(self) -> int:
         return self._m * self.counter_bits
 
-    @property
-    def is_compromised(self) -> bool:
-        """True once any counter has saturated (the δ guarantee is void)."""
-        return self.saturation_events > 0
-
     def rebuild_with_wider_counters(self, items: dict[Key, int]) -> "CountingBloomFilter":
         """The paper's remedy: rebuild from the true multiset, wider counters."""
         rebuilt = CountingBloomFilter(

@@ -33,11 +33,8 @@ class CountingQuotientFilter(CountingFilter):
         remainder_bits: int,
         *,
         seed: int = 0,
-        max_load: float = DEFAULT_MAX_LOAD,
     ):
-        self._qf = QuotientFilter(
-            quotient_bits, remainder_bits, seed=seed, max_load=max_load
-        )
+        self._qf = QuotientFilter(quotient_bits, remainder_bits, seed=seed)
         self._counts: dict[int, int] = {}  # fingerprint -> multiplicity
         self._slots_used = 0
         self._total = 0

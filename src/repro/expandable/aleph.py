@@ -13,39 +13,15 @@ only as a last resort — mirroring Aleph's rejuvenation-friendly ordering.
 
 from __future__ import annotations
 
-import math
-
-from repro.core.interfaces import ExpandableFilter, Key
-from repro.expandable.varlen import (
-    DEFAULT_BUCKET_CELLS,
-    Entry,
-    VarLenFingerprintTable,
-)
+from repro.core.errors import NotExpandableError
+from repro.core.interfaces import Key
+from repro.expandable.varlen import Entry, VarLenFilter
 
 
-class AlephFilter(ExpandableFilter):
+class AlephFilter(VarLenFilter):
     """Expandable filter with deletes, unbounded growth and O(1) queries."""
 
     supports_deletes = True
-
-    def __init__(
-        self,
-        address_bits: int,
-        fingerprint_bits: int,
-        *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        seed: int = 0,
-    ):
-        self._table = VarLenFingerprintTable(
-            address_bits, fingerprint_bits, bucket_cells=bucket_cells, seed=seed
-        )
-        self.seed = seed
-
-    def insert(self, key: Key) -> None:
-        self._table.insert_hash(self._table._hash(key))
-
-    def may_contain(self, key: Key) -> bool:
-        return self._table.matches_hash(self._table._hash(key))
 
     def delete(self, key: Key) -> None:
         self._table.delete_hash(self._table._hash(key))
@@ -60,51 +36,11 @@ class AlephFilter(ExpandableFilter):
         if voided and len(self._table) >= self.capacity:
             # Voids are doubling as fast as capacity: the fingerprint budget
             # is far too small for this growth and expanding cannot help.
-            from repro.core.errors import NotExpandableError
-
             raise NotExpandableError(
                 "void entries dominate the table; configure more fingerprint "
                 "bits for this growth range"
             )
 
-    def query_cost(self, key: Key) -> int:
-        """Structures probed per query: always exactly one (the O(1) claim)."""
-        return 1
-
-    @property
-    def capacity(self) -> int:
-        return self._table.capacity
-
-    @property
-    def n_expansions(self) -> int:
-        return self._table.n_expansions
-
     @property
     def n_void_entries(self) -> int:
         return self._table.entry_lengths().get(0, 0)
-
-    def expected_fpr(self) -> float:
-        hist = self._table.entry_lengths()
-        return sum(c * 2.0**-length for length, c in hist.items()) / self._table.n_buckets
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def size_in_bits(self) -> int:
-        return self._table.size_in_bits
-
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, epsilon: float, *, seed: int = 0
-    ) -> "AlephFilter":
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        cells = DEFAULT_BUCKET_CELLS
-        address_bits = max(
-            1, math.ceil(math.log2(max(2.0, capacity / (cells * 0.85))))
-        )
-        fingerprint_bits = min(20, max(1, math.ceil(math.log2(cells / epsilon))))
-        return cls(address_bits, fingerprint_bits, seed=seed)

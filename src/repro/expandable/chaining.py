@@ -13,36 +13,28 @@ all filters along the chain potentially need to be searched").
 
 from __future__ import annotations
 
+import abc
+
 from repro.core.errors import DeletionError, FilterFullError
 from repro.core.interfaces import ExpandableFilter, Key
 from repro.filters.bloom import BloomFilter
 from repro.filters.cuckoo import CuckooFilter
 
 
-class ChainedFilter(ExpandableFilter):
-    """A linked list of fixed-size Bloom filters (Guo et al., Chen et al.).
-
-    Each link is sized for *link_capacity* keys at the *same* ε, so the
-    overall false-positive rate grows linearly with the number of links:
-    FPR ≈ 1 − (1 − ε)^links.
-    """
+class _FilterChain(ExpandableFilter):
+    """Links made by :meth:`_new_link`, every one probed on a query."""
 
     supports_deletes = False
 
-    def __init__(
-        self,
-        link_capacity: int,
-        epsilon: float,
-        *,
-        seed: int = 0,
-    ):
-        if link_capacity <= 0:
-            raise ValueError("link_capacity must be positive")
-        self.link_capacity = link_capacity
+    def __init__(self, epsilon: float, seed: int):
         self.epsilon = epsilon
         self.seed = seed
-        self._links: list[BloomFilter] = [BloomFilter(link_capacity, epsilon, seed=seed)]
+        self._links: list = [self._new_link(0)]
         self._n = 0
+
+    @abc.abstractmethod
+    def _new_link(self, index: int):
+        """The chain's link number *index*."""
 
     def insert(self, key: Key) -> None:
         tail = self._links[-1]
@@ -53,11 +45,7 @@ class ChainedFilter(ExpandableFilter):
         self._n += 1
 
     def expand(self) -> None:
-        self._links.append(
-            BloomFilter(
-                self.link_capacity, self.epsilon, seed=self.seed + len(self._links)
-            )
-        )
+        self._links.append(self._new_link(len(self._links)))
 
     def may_contain(self, key: Key) -> bool:
         return any(link.may_contain(key) for link in self._links)
@@ -75,10 +63,6 @@ class ChainedFilter(ExpandableFilter):
     def n_links(self) -> int:
         return len(self._links)
 
-    @property
-    def capacity(self) -> int:
-        return self.link_capacity * len(self._links)
-
     def __len__(self) -> int:
         return self._n
 
@@ -87,7 +71,29 @@ class ChainedFilter(ExpandableFilter):
         return sum(link.size_in_bits for link in self._links)
 
 
-class ScalableBloomFilter(ExpandableFilter):
+class ChainedFilter(_FilterChain):
+    """A linked list of fixed-size Bloom filters (Guo et al., Chen et al.).
+
+    Each link is sized for *link_capacity* keys at the *same* ε, so the
+    overall false-positive rate grows linearly with the number of links:
+    FPR ≈ 1 − (1 − ε)^links.
+    """
+
+    def __init__(self, link_capacity: int, epsilon: float, *, seed: int = 0):
+        if link_capacity <= 0:
+            raise ValueError("link_capacity must be positive")
+        self.link_capacity = link_capacity
+        super().__init__(epsilon, seed)
+
+    def _new_link(self, index: int) -> BloomFilter:
+        return BloomFilter(self.link_capacity, self.epsilon, seed=self.seed + index)
+
+    @property
+    def capacity(self) -> int:
+        return self.link_capacity * len(self._links)
+
+
+class ScalableBloomFilter(_FilterChain):
     """Scalable Bloom filter (Almeida et al. 2007).
 
     Links grow geometrically (×2) and their FPRs tighten geometrically
@@ -95,7 +101,6 @@ class ScalableBloomFilter(ExpandableFilter):
     far the filter grows — at the price of a Θ(log n) chain to probe.
     """
 
-    supports_deletes = False
     GROWTH = 2
     TIGHTENING = 0.5
 
@@ -105,59 +110,19 @@ class ScalableBloomFilter(ExpandableFilter):
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         self.initial_capacity = initial_capacity
-        self.epsilon = epsilon
-        self.seed = seed
-        self._links: list[BloomFilter] = [
-            BloomFilter(initial_capacity, epsilon * (1 - self.TIGHTENING), seed=seed)
-        ]
-        self._n = 0
+        super().__init__(epsilon, seed)
 
-    def insert(self, key: Key) -> None:
-        tail = self._links[-1]
-        if len(tail) >= tail.capacity:
-            self.expand()
-            tail = self._links[-1]
-        tail.insert(key)
-        self._n += 1
-
-    def expand(self) -> None:
-        i = len(self._links)
-        capacity = self.initial_capacity * self.GROWTH**i
-        link_epsilon = self.epsilon * (1 - self.TIGHTENING) * self.TIGHTENING**i
-        self._links.append(BloomFilter(capacity, link_epsilon, seed=self.seed + i))
-
-    def may_contain(self, key: Key) -> bool:
-        return any(link.may_contain(key) for link in self._links)
-
-    def query_cost(self, key: Key) -> int:
-        cost = 0
-        for link in self._links:
-            cost += 1
-            if link.may_contain(key):
-                break
-        return cost
-
-    @property
-    def n_links(self) -> int:
-        return len(self._links)
+    def _new_link(self, index: int) -> BloomFilter:
+        capacity = self.initial_capacity * self.GROWTH**index
+        link_epsilon = self.epsilon * (1 - self.TIGHTENING) * self.TIGHTENING**index
+        return BloomFilter(capacity, link_epsilon, seed=self.seed + index)
 
     @property
     def capacity(self) -> int:
         return sum(link.capacity for link in self._links)
 
-    def __len__(self) -> int:
-        return self._n
 
-    @property
-    def size_in_bits(self) -> int:
-        return sum(link.size_in_bits for link in self._links)
-
-    def total_epsilon_bound(self) -> float:
-        """The convergent bound: Σ εᵢ ≤ ε."""
-        return self.epsilon
-
-
-class DynamicCuckooFilter(ExpandableFilter):
+class DynamicCuckooFilter(_FilterChain):
     """The Dynamic Cuckoo Filter (Chen, Liao, Jin & Wu 2017).
 
     A chain of fixed-size cuckoo filters: inserts go to the newest link
@@ -174,10 +139,7 @@ class DynamicCuckooFilter(ExpandableFilter):
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         self.link_capacity = link_capacity
-        self.epsilon = epsilon
-        self.seed = seed
-        self._links: list[CuckooFilter] = [self._new_link(0)]
-        self._n = 0
+        super().__init__(epsilon, seed)
 
     def _new_link(self, index: int) -> CuckooFilter:
         # Every link MUST share one hash seed: fingerprints are then
@@ -204,12 +166,6 @@ class DynamicCuckooFilter(ExpandableFilter):
         self._links[-1].insert(key)
         self._n += 1
 
-    def expand(self) -> None:
-        self._links.append(self._new_link(len(self._links)))
-
-    def may_contain(self, key: Key) -> bool:
-        return any(link.may_contain(key) for link in self._links)
-
     def delete(self, key: Key) -> None:
         for link in self._links:
             try:
@@ -222,25 +178,6 @@ class DynamicCuckooFilter(ExpandableFilter):
             return
         raise DeletionError("delete of a key that was never inserted")
 
-    def query_cost(self, key: Key) -> int:
-        cost = 0
-        for link in self._links:
-            cost += 1
-            if link.may_contain(key):
-                break
-        return cost
-
-    @property
-    def n_links(self) -> int:
-        return len(self._links)
-
     @property
     def capacity(self) -> int:
         return self.link_capacity * len(self._links)
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def size_in_bits(self) -> int:
-        return sum(link.size_in_bits for link in self._links)

@@ -12,11 +12,9 @@ grows with the number of expansions past the fingerprint budget
 
 from __future__ import annotations
 
-import math
-
 from repro.core.errors import DeletionError
-from repro.core.interfaces import ExpandableFilter, Key
-from repro.expandable.varlen import DEFAULT_BUCKET_CELLS, VarLenFingerprintTable
+from repro.core.interfaces import Key
+from repro.expandable.varlen import VarLenFilter
 
 
 class _LegacyGeneration:
@@ -55,28 +53,15 @@ class _LegacyGeneration:
         return self.n_entries * max(1, self.address_bits)
 
 
-class InfiniFilter(ExpandableFilter):
+class InfiniFilter(VarLenFilter):
     """Expandable filter with deletes and unbounded growth; queries probe
     the main table plus every non-empty legacy generation."""
 
     supports_deletes = True
 
-    def __init__(
-        self,
-        address_bits: int,
-        fingerprint_bits: int,
-        *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        seed: int = 0,
-    ):
-        self._table = VarLenFingerprintTable(
-            address_bits, fingerprint_bits, bucket_cells=bucket_cells, seed=seed
-        )
+    def __init__(self, address_bits: int, fingerprint_bits: int, *, seed: int = 0):
+        super().__init__(address_bits, fingerprint_bits, seed=seed)
         self._legacy: list[_LegacyGeneration] = []
-        self.seed = seed
-
-    def insert(self, key: Key) -> None:
-        self._table.insert_hash(self._table._hash(key))
 
     def may_contain(self, key: Key) -> bool:
         h = self._table._hash(key)
@@ -110,25 +95,15 @@ class InfiniFilter(ExpandableFilter):
         return 1 + len(self._legacy)
 
     @property
-    def capacity(self) -> int:
-        return self._table.capacity
-
-    @property
-    def n_expansions(self) -> int:
-        return self._table.n_expansions
-
-    @property
     def n_void_entries(self) -> int:
         return sum(generation.n_entries for generation in self._legacy)
 
     def expected_fpr(self) -> float:
-        hist = self._table.entry_lengths()
-        main = sum(c * 2.0**-length for length, c in hist.items()) / self._table.n_buckets
         legacy = sum(
             generation.n_entries / (1 << generation.address_bits)
             for generation in self._legacy
         )
-        return main + legacy
+        return super().expected_fpr() + legacy
 
     def __len__(self) -> int:
         return len(self._table) + self.n_void_entries
@@ -138,18 +113,3 @@ class InfiniFilter(ExpandableFilter):
         return self._table.size_in_bits + sum(
             generation.size_in_bits for generation in self._legacy
         )
-
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, epsilon: float, *, seed: int = 0
-    ) -> "InfiniFilter":
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        cells = DEFAULT_BUCKET_CELLS
-        address_bits = max(
-            1, math.ceil(math.log2(max(2.0, capacity / (cells * 0.85))))
-        )
-        fingerprint_bits = min(20, max(1, math.ceil(math.log2(cells / epsilon))))
-        return cls(address_bits, fingerprint_bits, seed=seed)

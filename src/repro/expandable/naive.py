@@ -72,10 +72,6 @@ class NaiveExpandableQuotientFilter(ExpandableFilter):
     def remainder_bits(self) -> int:
         return self._qf.remainder_bits
 
-    @property
-    def can_expand(self) -> bool:
-        return self._qf.remainder_bits > 1
-
     def query_cost(self, key: Key) -> int:
         """One structure probe, always (expansion never adds probes)."""
         return 1

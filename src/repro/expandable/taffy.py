@@ -11,36 +11,14 @@ the filter cannot stretch further (§2.2).
 
 from __future__ import annotations
 
-import math
-
 from repro.core.errors import NotExpandableError
-from repro.core.interfaces import ExpandableFilter, Key
-from repro.expandable.varlen import DEFAULT_BUCKET_CELLS, VarLenFingerprintTable
+from repro.expandable.varlen import VarLenFilter
 
 
-class TaffyCuckooFilter(ExpandableFilter):
+class TaffyCuckooFilter(VarLenFilter):
     """Expandable filter with stable FPR and fast queries; no deletes."""
 
     supports_deletes = False
-
-    def __init__(
-        self,
-        address_bits: int,
-        fingerprint_bits: int,
-        *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        seed: int = 0,
-    ):
-        self._table = VarLenFingerprintTable(
-            address_bits, fingerprint_bits, bucket_cells=bucket_cells, seed=seed
-        )
-        self.seed = seed
-
-    def insert(self, key: Key) -> None:
-        self._table.insert_hash(self._table._hash(key))
-
-    def may_contain(self, key: Key) -> bool:
-        return self._table.matches_hash(self._table._hash(key))
 
     def expand(self) -> None:
         shortest = self._table.min_entry_length()
@@ -51,44 +29,3 @@ class TaffyCuckooFilter(ExpandableFilter):
             )
         voided = self._table.expand()
         assert not voided  # guarded by the min-length check above
-
-    def query_cost(self, key: Key) -> int:
-        """Structures probed per query: always exactly one."""
-        return 1
-
-    @property
-    def capacity(self) -> int:
-        return self._table.capacity
-
-    @property
-    def n_expansions(self) -> int:
-        return self._table.n_expansions
-
-    def expected_fpr(self) -> float:
-        """Σ over stored entries of 2^-length, normalised per bucket load."""
-        hist = self._table.entry_lengths()
-        if not self._table.n_buckets:
-            return 0.0
-        return sum(c * 2.0**-length for length, c in hist.items()) / self._table.n_buckets
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    @property
-    def size_in_bits(self) -> int:
-        return self._table.size_in_bits
-
-    @classmethod
-    def for_capacity(
-        cls, capacity: int, epsilon: float, *, seed: int = 0
-    ) -> "TaffyCuckooFilter":
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        cells = DEFAULT_BUCKET_CELLS
-        address_bits = max(
-            1, math.ceil(math.log2(max(2.0, capacity / (cells * 0.85))))
-        )
-        fingerprint_bits = min(20, max(1, math.ceil(math.log2(cells / epsilon))))
-        return cls(address_bits, fingerprint_bits, seed=seed)

@@ -12,19 +12,21 @@ doubles) keep the FPR stable.
 
 An entry whose fingerprint is exhausted is *void*: it matches every query
 in its bucket.  What a design does with voids is what separates the three
-filters; this base class just reports them to the subclass hook.
+filters: :meth:`VarLenFingerprintTable.expand` returns them, and each
+:class:`VarLenFilter` subclass decides in its own ``expand``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.hashing import hash64
 from repro.core.errors import DeletionError, FilterFullError
-from repro.core.interfaces import Key
+from repro.core.interfaces import ExpandableFilter, Key
 
-DEFAULT_BUCKET_CELLS = 8
-DEFAULT_MAX_LOAD = 0.85
+BUCKET_CELLS = 8
+MAX_LOAD = 0.85
 
 
 @dataclass
@@ -43,8 +45,6 @@ class VarLenFingerprintTable:
         address_bits: int,
         fingerprint_bits: int,
         *,
-        bucket_cells: int = DEFAULT_BUCKET_CELLS,
-        max_load: float = DEFAULT_MAX_LOAD,
         seed: int = 0,
     ):
         if not 1 <= address_bits <= 40:
@@ -53,8 +53,6 @@ class VarLenFingerprintTable:
             raise ValueError("fingerprint_bits must be in [1, 20]")
         self.address_bits = address_bits
         self.full_length = fingerprint_bits
-        self.bucket_cells = bucket_cells
-        self.max_load = max_load
         self.seed = seed
         self.n_expansions = 0
         self._buckets: list[list[Entry]] = [[] for _ in range(1 << address_bits)]
@@ -82,13 +80,13 @@ class VarLenFingerprintTable:
 
     @property
     def capacity(self) -> int:
-        return int(self.n_buckets * self.bucket_cells * self.max_load)
+        return int(self.n_buckets * BUCKET_CELLS * MAX_LOAD)
 
     def insert_hash(self, h: int) -> None:
         if self._n >= self.capacity:
             raise FilterFullError("variable-length fingerprint table at max load")
         bucket = self._buckets[self._address(h)]
-        if len(bucket) >= self.bucket_cells:
+        if len(bucket) >= BUCKET_CELLS:
             raise FilterFullError("bucket overflow in fingerprint table")
         bucket.append(Entry(self.full_length, self._fingerprint_bits_of(h, self.full_length)))
         self._n += 1
@@ -156,7 +154,7 @@ class VarLenFingerprintTable:
     def size_in_bits(self) -> int:
         """Fixed slots, each wide enough for a full fingerprint plus the
         unary self-delimiter that makes variable lengths decodable."""
-        return self.n_buckets * self.bucket_cells * (self.full_length + 2)
+        return self.n_buckets * BUCKET_CELLS * (self.full_length + 2)
 
     def entry_lengths(self) -> dict[int, int]:
         """Histogram {fingerprint length: count} (diagnostics/tests)."""
@@ -165,3 +163,57 @@ class VarLenFingerprintTable:
             for entry in bucket:
                 hist[entry.length] = hist.get(entry.length, 0) + 1
         return hist
+
+
+class VarLenFilter(ExpandableFilter):
+    """An expandable filter over one :class:`VarLenFingerprintTable`.
+
+    A query probes one bucket of the table; subclasses add what their
+    ``expand`` does with the entries it voids.
+    """
+
+    def __init__(self, address_bits: int, fingerprint_bits: int, *, seed: int = 0):
+        self._table = VarLenFingerprintTable(address_bits, fingerprint_bits, seed=seed)
+        self.seed = seed
+
+    def insert(self, key: Key) -> None:
+        self._table.insert_hash(self._table._hash(key))
+
+    def may_contain(self, key: Key) -> bool:
+        return self._table.matches_hash(self._table._hash(key))
+
+    def query_cost(self, key: Key) -> int:
+        """Structures probed per query: always exactly one (the O(1) claim)."""
+        return 1
+
+    @property
+    def capacity(self) -> int:
+        return self._table.capacity
+
+    @property
+    def n_expansions(self) -> int:
+        return self._table.n_expansions
+
+    def expected_fpr(self) -> float:
+        """Σ over stored entries of 2^-length, normalised per bucket load."""
+        hist = self._table.entry_lengths()
+        return sum(c * 2.0**-length for length, c in hist.items()) / self._table.n_buckets
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    @property
+    def size_in_bits(self) -> int:
+        return self._table.size_in_bits
+
+    @classmethod
+    def for_capacity(cls, capacity: int, epsilon: float, *, seed: int = 0):
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        if not 0 < epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
+        address_bits = max(
+            1, math.ceil(math.log2(max(2.0, capacity / (BUCKET_CELLS * MAX_LOAD))))
+        )
+        fingerprint_bits = min(20, max(1, math.ceil(math.log2(BUCKET_CELLS / epsilon))))
+        return cls(address_bits, fingerprint_bits, seed=seed)

@@ -28,6 +28,9 @@ from repro.core.interfaces import DynamicFilter, Key
 
 BUCKETS_PER_BLOCK = 16
 SLOTS_PER_BUCKET = 3
+# Physical capacity per block < logical slots (the compression win):
+# 16 buckets x 3 slots = 48 logical, but only 40 are physically backed.
+BLOCK_CAPACITY = 40
 _FULLNESS_BITS = 2  # counts 0..3 occupants per logical bucket
 MAX_KICKS = 500
 
@@ -42,7 +45,6 @@ class MortonFilter(DynamicFilter):
         n_buckets: int,
         fingerprint_bits: int,
         *,
-        block_capacity: int = 40,
         seed: int = 0,
     ):
         if n_buckets < BUCKETS_PER_BLOCK:
@@ -51,10 +53,6 @@ class MortonFilter(DynamicFilter):
             raise ValueError("fingerprint_bits must be in [1, 56]")
         self.n_buckets = 1 << max(4, (n_buckets - 1).bit_length())
         self.fingerprint_bits = fingerprint_bits
-        # Physical capacity per block < logical slots (the compression win):
-        # 16 buckets x 3 slots = 48 logical, but only `block_capacity` are
-        # physically backed.
-        self.block_capacity = block_capacity
         self.n_blocks = self.n_buckets // BUCKETS_PER_BLOCK
         self.seed = seed
         self._buckets: list[list[int]] = [[] for _ in range(self.n_buckets)]
@@ -85,7 +83,7 @@ class MortonFilter(DynamicFilter):
     def _room(self, bucket: int) -> bool:
         return (
             len(self._buckets[bucket]) < SLOTS_PER_BUCKET
-            and self._block_load[self._block_of(bucket)] < self.block_capacity
+            and self._block_load[self._block_of(bucket)] < BLOCK_CAPACITY
         )
 
     def _place(self, bucket: int, fp: int) -> None:
@@ -164,12 +162,12 @@ class MortonFilter(DynamicFilter):
 
     @property
     def load_factor(self) -> float:
-        return self._n / (self.n_blocks * self.block_capacity)
+        return self._n / (self.n_blocks * BLOCK_CAPACITY)
 
     @property
     def size_in_bits(self) -> int:
         """Physical slots + fullness counters + OTA (the compressed layout)."""
-        physical = self.n_blocks * self.block_capacity * self.fingerprint_bits
+        physical = self.n_blocks * BLOCK_CAPACITY * self.fingerprint_bits
         fullness = self.n_buckets * _FULLNESS_BITS
         return physical + fullness + self.n_blocks
 
@@ -189,8 +187,7 @@ class MortonFilter(DynamicFilter):
             raise ValueError("capacity must be positive")
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
-        block_capacity = 40
-        n_blocks = max(1, math.ceil(capacity / (block_capacity * 0.95)))
+        n_blocks = max(1, math.ceil(capacity / (BLOCK_CAPACITY * 0.95)))
         n_buckets = n_blocks * BUCKETS_PER_BLOCK
         f = max(1, math.ceil(math.log2(2 * SLOTS_PER_BUCKET / epsilon)))
-        return cls(n_buckets, f, block_capacity=block_capacity, seed=seed)
+        return cls(n_buckets, f, seed=seed)

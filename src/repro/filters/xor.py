@@ -90,7 +90,6 @@ class XorFilter(StaticFilter):
         fingerprint_bits: int,
         *,
         seed: int = 0,
-        _size_factor: float = _SIZE_FACTOR,
         _prefer_first_segments: bool = False,
     ):
         key_list = list(keys)
@@ -98,7 +97,7 @@ class XorFilter(StaticFilter):
             raise ValueError("fingerprint_bits must be in [1, 56]")
         self.fingerprint_bits = fingerprint_bits
         self._n = len(key_list)
-        n_slots = max(6, int(math.ceil(_size_factor * max(1, self._n))) + 3)
+        n_slots = max(6, int(math.ceil(_SIZE_FACTOR * max(1, self._n))) + 3)
         self._segment = n_slots // 3
         self._n_slots = self._segment * 3
         prefer_from = 2 * self._segment if _prefer_first_segments else 0

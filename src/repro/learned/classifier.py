@@ -25,6 +25,8 @@ import numpy as np
 from repro.core.interfaces import Filter
 from repro.filters.bloom import BloomFilter
 
+N_BINS = 1024
+
 
 class LearnedFilter(Filter):
     """Histogram-score model sandwiched with a backup Bloom filter."""
@@ -35,7 +37,6 @@ class LearnedFilter(Filter):
         *,
         universe: int,
         epsilon: float = 0.01,
-        n_bins: int = 1024,
         threshold: float = 0.5,
         sample_negatives: Iterable[int] | None = None,
         seed: int = 0,
@@ -46,25 +47,24 @@ class LearnedFilter(Filter):
         if not 0 < threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
         self.universe = universe
-        self.n_bins = n_bins
         self._n = len(key_list)
 
         # Positive density per bin; negatives (sampled or assumed uniform)
         # give the contrast.
         pos_counts = np.bincount(
-            [self._bin(k) for k in key_list], minlength=n_bins
+            [self._bin(k) for k in key_list], minlength=N_BINS
         ).astype(np.float64)
         if sample_negatives is not None:
             neg_list = [int(k) for k in sample_negatives]
             neg_counts = np.bincount(
-                [self._bin(k) for k in neg_list], minlength=n_bins
+                [self._bin(k) for k in neg_list], minlength=N_BINS
             ).astype(np.float64)
         else:
             # No query sample: assume uniform negative traffic and demand a
             # 4× density contrast before trusting the model, so uniformly
             # scattered keys degrade to a plain backup filter instead of
             # predicting everything positive.
-            neg_counts = np.full(n_bins, max(1.0, 4.0 * self._n / n_bins))
+            neg_counts = np.full(N_BINS, max(1.0, 4.0 * self._n / N_BINS))
         with np.errstate(divide="ignore", invalid="ignore"):
             score = pos_counts / (pos_counts + neg_counts)
         self._scores = np.nan_to_num(score)
@@ -78,7 +78,7 @@ class LearnedFilter(Filter):
         self._n_uncovered = len(uncovered)
 
     def _bin(self, key: int) -> int:
-        return min(self.n_bins - 1, key * self.n_bins // self.universe)
+        return min(N_BINS - 1, key * N_BINS // self.universe)
 
     def may_contain(self, key: int) -> bool:
         if not 0 <= key < self.universe:
@@ -98,4 +98,4 @@ class LearnedFilter(Filter):
     @property
     def size_in_bits(self) -> int:
         """One predicted bit per bin + the backup filter."""
-        return self.n_bins + self._backup.size_in_bits
+        return N_BINS + self._backup.size_in_bits

@@ -88,12 +88,3 @@ class StackedFilter(Filter):
     @property
     def size_in_bits(self) -> int:
         return sum(layer.size_in_bits for layer in self._layers)
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        sizes = tuple(len(layer) for layer in self._layers)
-        return sizes + (0,) * (3 - len(sizes)) if len(sizes) < 3 else sizes
-
-    @property
-    def n_layers_built(self) -> int:
-        return len(self._layers)

@@ -30,11 +30,8 @@ class QuotientFilterMaplet(DynamicMaplet):
         *,
         value_bits: int = 32,
         seed: int = 0,
-        max_load: float = DEFAULT_MAX_LOAD,
     ):
-        self._qf = QuotientFilter(
-            quotient_bits, remainder_bits, seed=seed, max_load=max_load
-        )
+        self._qf = QuotientFilter(quotient_bits, remainder_bits, seed=seed)
         self.value_bits = value_bits
         # fingerprint -> values stored under it (collisions conflate lists,
         # which is precisely where the "+ε extra values" comes from).

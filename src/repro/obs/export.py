@@ -165,9 +165,9 @@ def flat_samples(registry: MetricsRegistry) -> dict[str, dict[tuple[tuple[str, s
 # -- JSON ---------------------------------------------------------------------------
 
 
-def to_json(registry: MetricsRegistry, indent: int | None = 2) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """Lossless JSON dump of the registry (see ``from_json``)."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
 
 
 def from_json(text: str) -> MetricsRegistry:

@@ -195,38 +195,13 @@ class InstrumentedFilter:
     def false_positives(self) -> int:
         return self._false_pos.value
 
-    @property
-    def observed_fp_rate(self) -> float:
-        """FP probes over probes for truly-absent keys (needs ground truth).
-
-        Truly-absent probes = filter negatives (never false) plus the
-        positives ground truth contradicted.
-        """
-        absent = self._negative.value + self._false_pos.value
-        return self._false_pos.value / absent if absent else 0.0
-
-    @property
-    def positive_rate(self) -> float:
-        n = self.probes
-        return self._positive.value / n if n else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<InstrumentedFilter {self.name} probes={self.probes}>"
 
 
-def instrument(
-    filt,
-    *,
-    name: str | None = None,
-    registry: MetricsRegistry | None = None,
-    ground_truth: Container[Key] | Callable[[Key], bool] | None = None,
-) -> InstrumentedFilter:
+def instrument(filt) -> InstrumentedFilter:
     """Wrap *filt* (idempotent: an already-instrumented filter is returned
-    as-is when the target registry matches)."""
-    if isinstance(filt, InstrumentedFilter) and (
-        registry is None or filt.registry is registry
-    ):
+    as-is)."""
+    if isinstance(filt, InstrumentedFilter):
         return filt
-    return InstrumentedFilter(
-        filt, name=name, registry=registry, ground_truth=ground_truth
-    )
+    return InstrumentedFilter(filt)

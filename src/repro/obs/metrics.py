@@ -460,10 +460,10 @@ def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
 
 
 @contextmanager
-def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
-    """Temporarily make *registry* (default: a fresh one) the default —
-    the isolation idiom for tests and the CLI."""
-    registry = registry if registry is not None else MetricsRegistry()
+def use_registry() -> Iterator[MetricsRegistry]:
+    """Temporarily make a fresh registry the default — the isolation
+    idiom for tests and the CLI."""
+    registry = MetricsRegistry()
     previous = set_default_registry(registry)
     try:
         yield registry
@@ -486,21 +486,18 @@ class Family:
     way, for hot paths that must not call ``labels()`` per event.
     """
 
-    __slots__ = ("cls", "name", "help", "labelnames", "buckets")
+    __slots__ = ("cls", "name", "help", "labelnames")
 
-    def __init__(self, cls, name: str, help: str, labels: tuple[str, ...] = (),
-                 buckets: tuple[float, ...] | None = None):
+    def __init__(self, cls, name: str, help: str, labels: tuple[str, ...] = ()):
         self.cls, self.name, self.help = cls, name, help
         self.labelnames = tuple(labels)
-        self.buckets = buckets or (DEFAULT_BUCKETS if cls is Histogram else None)
 
     def bind(self, registry: MetricsRegistry | None = None) -> _Metric:
         reg = _default if registry is None else registry
         metric = reg._bound.get(self)
         if metric is None:
-            extra = {} if self.buckets is None else {"buckets": self.buckets}
             metric = reg._bound[self] = reg._get_or_create(
-                self.cls, self.name, self.help, self.labelnames, **extra
+                self.cls, self.name, self.help, self.labelnames
             )
         return metric
 

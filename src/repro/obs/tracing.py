@@ -151,12 +151,6 @@ class TraceRecorder:
         """All spans of the given name across every recorded tree."""
         return [s for root in self._roots for s in root.find(name)]
 
-    def render(self, limit: int | None = None) -> str:
-        roots = self.roots
-        if limit is not None:
-            roots = roots[-limit:]
-        return "\n".join(render_tree(root) for root in roots)
-
 
 def set_default_recorder(recorder: TraceRecorder | None) -> TraceRecorder | None:
     """Install (or, with None, remove) the process-wide recorder."""

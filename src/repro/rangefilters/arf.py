@@ -19,6 +19,8 @@ from bisect import bisect_left
 
 from repro.core.interfaces import RangeFilter
 
+MAX_ESCALATION_STEPS = 64  # leaf splits one escalate() may spend
+
 
 class _Node:
     __slots__ = ("lo", "hi", "occupied", "left", "right", "used")
@@ -85,13 +87,13 @@ class AdaptiveRangeFilter(RangeFilter):
         node.right = _Node(mid + 1, node.hi, self._has_key_in(mid + 1, node.hi))
         self._n_nodes += 2
 
-    def escalate(self, lo: int, hi: int, *, max_depth_steps: int = 64) -> None:
+    def escalate(self, lo: int, hi: int) -> None:
         """Train on a confirmed-empty query range: split covering occupied
         leaves until [lo, hi] is answered empty (or budget/precision runs
         out)."""
         if self._has_key_in(lo, hi):
             raise ValueError("escalate() is for confirmed-empty ranges")
-        for _ in range(max_depth_steps):
+        for _ in range(MAX_ESCALATION_STEPS):
             if not self.may_intersect(lo, hi):
                 return
             leaf = self._find_blocking_leaf(self._root, lo, hi)

@@ -2,7 +2,7 @@
 
 Stores every key's length-*l* prefix in one Bloom filter.  A range query is
 answered by probing the (few) prefix blocks the range touches; ranges that
-span more than ``max_blocks`` blocks get no filtering.  The simplest point
+span more than ``MAX_BLOCKS`` blocks get no filtering.  The simplest point
 in the §2.5 design space and Proteus's second level.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from repro.core.interfaces import RangeFilter
 from repro.filters.bloom import BloomFilter
+
+MAX_BLOCKS = 4
 
 
 class PrefixBloomFilter(RangeFilter):
@@ -22,14 +24,12 @@ class PrefixBloomFilter(RangeFilter):
         key_bits: int = 48,
         prefix_bits: int = 36,
         bits_per_key: float = 14.0,
-        max_blocks: int = 4,
         seed: int = 0,
     ):
         if not 1 <= prefix_bits <= key_bits:
             raise ValueError("prefix_bits must be in [1, key_bits]")
         self.key_bits = key_bits
         self.prefix_bits = prefix_bits
-        self.max_blocks = max_blocks
         self._shift = key_bits - prefix_bits
         self._n = len(keys)
         epsilon = min(0.99, max(1e-9, 0.6185**bits_per_key))
@@ -45,7 +45,7 @@ class PrefixBloomFilter(RangeFilter):
         if self._n == 0:
             return False
         first, last = lo >> self._shift, hi >> self._shift
-        if last - first + 1 > self.max_blocks:
+        if last - first + 1 > MAX_BLOCKS:
             return True  # range spans too many blocks: no filtering
         return any(
             self._bloom.may_contain(block) for block in range(first, last + 1)
@@ -57,7 +57,3 @@ class PrefixBloomFilter(RangeFilter):
     @property
     def size_in_bits(self) -> int:
         return self._bloom.size_in_bits
-
-    def max_filtered_range(self) -> int:
-        """Longest range guaranteed to receive filtering."""
-        return self.max_blocks << self._shift

@@ -17,6 +17,9 @@ from repro.common.eliasfano import EliasFano
 from repro.core.interfaces import RangeFilter
 from repro.filters.bloom import BloomFilter
 
+# Ranges spanning more l2 blocks than this skip the prefix-Bloom level.
+MAX_BLOCKS = 8
+
 
 class _TrieLevel:
     """Exact set of l1-bit prefixes, Elias–Fano coded (FST stand-in)."""
@@ -47,11 +50,9 @@ class Proteus(RangeFilter):
         sample_queries: list[tuple[int, int]] | None = None,
         l1: int | None = None,
         l2: int | None = None,
-        max_blocks: int = 8,
         seed: int = 0,
     ):
         self.key_bits = key_bits
-        self.max_blocks = max_blocks
         self.seed = seed
         self._n = len(keys)
         if l1 is None or l2 is None:
@@ -127,7 +128,7 @@ class Proteus(RangeFilter):
         # Level 2: refine with the prefix Bloom when the range is narrow
         # enough at depth l2.
         first, last = lo >> self._l2_shift, hi >> self._l2_shift
-        if last - first + 1 > self.max_blocks:
+        if last - first + 1 > MAX_BLOCKS:
             return True
         return any(
             self._bloom.may_contain(block) for block in range(first, last + 1)

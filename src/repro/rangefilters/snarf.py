@@ -16,6 +16,8 @@ import numpy as np
 from repro.common.eliasfano import EliasFano
 from repro.core.interfaces import RangeFilter
 
+SPLINE_POINTS = 256
+
 
 class SNARF(RangeFilter):
     """Learned-CDF sparse-bit-array range filter."""
@@ -26,13 +28,10 @@ class SNARF(RangeFilter):
         *,
         key_bits: int = 48,
         multiplier: float = 8.0,
-        spline_points: int = 256,
         seed: int = 0,
     ):
         if multiplier <= 1:
             raise ValueError("multiplier must exceed 1")
-        if spline_points < 2:
-            raise ValueError("spline_points must be at least 2")
         self.key_bits = key_bits
         self.multiplier = multiplier
         unique = sorted(set(keys))
@@ -47,9 +46,9 @@ class SNARF(RangeFilter):
             self._positions = EliasFano([], universe=self._m + 1)
             return
 
-        # Spline knots: every (n // spline_points)-th key, plus the ends of
+        # Spline knots: every (n // SPLINE_POINTS)-th key, plus the ends of
         # the universe so the model is total.
-        step = max(1, self._n // spline_points)
+        step = max(1, self._n // SPLINE_POINTS)
         xs = [0] + [unique[i] for i in range(0, self._n, step)] + [
             unique[-1],
             (1 << key_bits) - 1,

@@ -134,10 +134,6 @@ class SuRF(RangeFilter):
         return self._n
 
     @property
-    def n_trie_nodes(self) -> int:
-        return self._trie_nodes
-
-    @property
     def size_in_bits(self) -> int:
         suffix = self._n * (self.real_suffix_bits + self.hash_suffix_bits)
         return self._trie_nodes * _LOUDS_BITS_PER_NODE + suffix

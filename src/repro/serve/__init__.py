@@ -33,6 +33,7 @@ from repro.serve.sim import (
     run_storm,
 )
 from repro.serve.reshard import (
+    CRASH_STEPS,
     MigrationState,
     MigrationStep,
     ReshardCoordinator,
@@ -52,6 +53,8 @@ from repro.serve.tenant import (
     run_tenant_storm,
 )
 from repro.serve.replica import (
+    HANDOFF_STEPS,
+    REPAIR_STEPS,
     AntiEntropyRepairer,
     FailureDetector,
     HintedHandoff,
@@ -85,6 +88,7 @@ __all__ = [
     "Traffic",
     "build_stack",
     "run_storm",
+    "CRASH_STEPS",
     "MigrationState",
     "MigrationStep",
     "ReshardCoordinator",
@@ -92,6 +96,8 @@ __all__ = [
     "ShardedStore",
     "build_sharded_stack",
     "run_reshard_storm",
+    "HANDOFF_STEPS",
+    "REPAIR_STEPS",
     "AntiEntropyRepairer",
     "FailureDetector",
     "HintedHandoff",

@@ -61,6 +61,10 @@ class TenantQuota:
             raise ValueError("burst must be at least 1")
 
 
+# Weight of the newest sample in the service-time EWMA.
+EWMA_ALPHA = 0.2
+
+
 @dataclass
 class AdmissionConfig:
     """Shed thresholds, per priority class.
@@ -82,7 +86,6 @@ class AdmissionConfig:
     )
     queue_capacity: int = 128
     initial_service: float = 0.004
-    ewma_alpha: float = 0.2
     tenant_quota: TenantQuota | None = None
 
 
@@ -175,8 +178,7 @@ class AdmissionController:
 
     def record_service(self, seconds: float) -> None:
         """Feed one observed service time into the EWMA estimate."""
-        alpha = self.config.ewma_alpha
-        self.service_ewma = (1.0 - alpha) * self.service_ewma + alpha * seconds
+        self.service_ewma = (1.0 - EWMA_ALPHA) * self.service_ewma + EWMA_ALPHA * seconds
 
 
 # Queue-delay cap, in simulated seconds, for one background batch

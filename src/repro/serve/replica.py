@@ -121,6 +121,15 @@ REPAIR_ROUNDS = Family(
     Gauge, "repro_replica_repair_rounds", "anti-entropy snapshot rounds started"
 )
 
+# Replicas per key when the store is not told otherwise (fewer nodes:
+# every node).
+REPLICATION = 3
+
+# Every crash point hinted-handoff replay and anti-entropy repair fire;
+# the chaos sweeps crash at each one.
+HANDOFF_STEPS = ("handoff.replay", "handoff.replay:applied", "handoff.replay:batch")
+REPAIR_STEPS = ("repair.stream",)
+
 _META_NS = "replmeta"
 _HANDOFF_NS = "handoff"
 _DIGEST_SALT = 0xB0C6
@@ -261,7 +270,7 @@ class ReplicatedStore:
     ):
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        replication = min(3, n_nodes) if replication is None else replication
+        replication = min(REPLICATION, n_nodes) if replication is None else replication
         if not 1 <= replication <= n_nodes:
             raise ValueError("replication must be in [1, n_nodes]")
         read_quorum = replication // 2 + 1 if read_quorum is None else read_quorum

@@ -119,6 +119,12 @@ _BOTH_OWNER_STEPS = frozenset({
     MigrationStep.VERIFY, MigrationStep.CUTOVER,
 })
 
+# Every crash point a migration fires, as ``reshard.<step>``: each
+# MigrationStep entered plus the mid-step points inside backfill and
+# cutover.  The chaos sweep crashes at each one.
+CRASH_STEPS = ("planned", "double_write", "backfill", "backfill:batch", "verify",
+               "cutover", "cutover:manifest", "retire", "done")
+
 _MISSING = object()  # multi_get sentinel: absent-or-tombstoned
 
 _META_NS = "meta"

@@ -89,7 +89,6 @@ class TenantConfig:
     seed: int = 0
     max_fanout: int = 8
     reor_interval: int = 64
-    vnodes: int = 16
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -142,9 +141,7 @@ class TenantRouter:
     ):
         self.config = config if config is not None else TenantConfig()
         self._placement = ConsistentHashRouter(
-            range(self.config.n_trees),
-            seed=self.config.seed,
-            vnodes=self.config.vnodes,
+            range(self.config.n_trees), seed=self.config.seed
         )
         self.trees: dict[int, BloofiTree] = {
             tid: BloofiTree(self.config.bloofi_config())
@@ -169,12 +166,6 @@ class TenantRouter:
 
     def tenant_ids(self) -> list:
         return list(self._auth)
-
-    def tree_of(self, tenant) -> int:
-        return self._home[tenant]
-
-    def authoritative(self, tenant) -> Any:
-        return self._auth[tenant]
 
     def _make_auth(self, tenant) -> Any:
         if self._filter_factory is not None:

@@ -19,15 +19,6 @@ def random_genome(length: int, seed: int = 0) -> str:
     return "".join(BASES[i] for i in rng.integers(0, 4, size=length))
 
 
-def mutate(genome: str, rate: float, seed: int = 0) -> str:
-    """Point-mutate each base independently with probability *rate*."""
-    rng = np.random.default_rng(seed)
-    out = list(genome)
-    for i in range(len(out)):
-        if rng.random() < rate:
-            out[i] = BASES[int(rng.integers(0, 4))]
-    return "".join(out)
-
 
 def extract_kmers(sequence: str, k: int) -> list[str]:
     """All length-*k* substrings, in order (duplicates preserved)."""
@@ -55,20 +46,14 @@ def int_to_kmer(value: int, k: int) -> str:
 
 
 def sequencing_reads(
-    genome: str, n_reads: int, read_len: int, error_rate: float = 0.0, seed: int = 0
+    genome: str, n_reads: int, read_len: int, seed: int = 0
 ) -> list[str]:
-    """Fixed-length reads from random positions, with optional base errors."""
+    """Error-free fixed-length reads from random positions."""
     if read_len > len(genome):
         raise ValueError("read length exceeds genome length")
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, len(genome) - read_len + 1, size=n_reads)
-    reads = []
-    for start in starts:
-        read = genome[int(start) : int(start) + read_len]
-        if error_rate > 0:
-            read = mutate(read, error_rate, int(rng.integers(1 << 31)))
-        reads.append(read)
-    return reads
+    return [genome[int(start) : int(start) + read_len] for start in starts]
 
 
 def sequencing_experiments(

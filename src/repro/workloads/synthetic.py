@@ -28,10 +28,10 @@ def random_key_set(n: int, seed: int = 0, universe: int = KEY_UNIVERSE) -> list[
 
 
 def disjoint_key_sets(
-    n_members: int, n_negatives: int, seed: int = 0, universe: int = KEY_UNIVERSE
+    n_members: int, n_negatives: int, seed: int = 0
 ) -> tuple[list[int], list[int]]:
     """A member set and a disjoint negative-query set."""
-    combined = random_key_set(n_members + n_negatives, seed, universe)
+    combined = random_key_set(n_members + n_negatives, seed)
     rng = np.random.default_rng(seed ^ 0x5EED)
     order = rng.permutation(len(combined))
     members = [combined[i] for i in order[:n_members]]

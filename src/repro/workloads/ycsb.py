@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ZIPF_SKEW = 0.99  # the YCSB default Zipf constant
+
 WORKLOADS = {
     "A": {"read": 0.5, "update": 0.5},
     "B": {"read": 0.95, "update": 0.05},
@@ -39,9 +41,9 @@ class WorkloadResult:
         self.ops[op] = self.ops.get(op, 0) + 1
 
 
-def _zipf_indexes(rng, n: int, count: int, skew: float = 0.99) -> np.ndarray:
+def _zipf_indexes(rng, n: int, count: int) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    weights = ranks**-skew
+    weights = ranks**-ZIPF_SKEW
     weights /= weights.sum()
     return rng.choice(n, size=count, p=weights)
 

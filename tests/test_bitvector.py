@@ -36,8 +36,8 @@ class TestBitVector:
         bv = BitVector(1000)
         idx = [0, 1, 63, 64, 65, 999]
         bv.set_many(idx)
-        assert bv.test_all(idx)
-        assert not bv.test_all([0, 2])
+        assert bv.test_many(idx).all()
+        assert not bv.test_many([0, 2]).all()
         assert bv.count() == len(idx)
 
     def test_set_many_duplicate_indexes(self):

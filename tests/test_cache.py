@@ -22,7 +22,6 @@ Three layers of evidence:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule

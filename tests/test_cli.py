@@ -156,3 +156,29 @@ class TestServeSimArmedCrash:
         out = capsys.readouterr().out
         assert "never fired" in out
         assert "false negatives: 0" in out
+
+
+class TestServeSimFlagTable:
+    """A serve-sim flag the chosen stack does not read is a usage error
+    (exit 2), never a silently ignored option."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--shards", "2", "--cache-mb", "1", "--negative-cache", "512"],
+        ["--tenant-mode", "flat", "--tenant-trees", "9"],
+        ["--journal-out", "unused.json"],
+        ["--tenants", "8", "--n-keys", "300"],
+        ["--cache-policy", "tinylfu"],
+        ["--shards", "2", "--reshard-kind", "merge"],
+        ["--replicas", "3", "--wipe-replica"],
+        ["--repl-quorum", "2"],
+        ["--replicas", "3", "--repl-quorum", "5"],
+    ], ids=[
+        "cache-on-sharded", "tenant-flags-on-classic", "journal-on-classic",
+        "n-keys-on-tenant", "policy-without-cache", "kind-without-reshard",
+        "wipe-without-kill", "quorum-without-replicas", "quorum-above-R",
+    ])
+    def test_mismatched_flag_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-sim", "--n-requests", "30", *flags])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -1,9 +1,12 @@
-"""Every crash point in the serving code is swept by a chaos test.
+"""Every crash point in the serving code is in a crash table, and every
+table entry is a crash point.
 
 Crash points are the names passed to ``_crash_point`` under
 ``src/repro/serve/``, plus the ``reshard.<step>`` name each migration
-step enters through.  They are collected from the source, so a crash
-point added without a sweep fails here instead of going untested.
+step enters through.  They are collected from the source and compared
+with the tables the chaos sweeps parametrize over (``CRASH_STEPS``,
+``HANDOFF_STEPS``, ``REPAIR_STEPS``), so a crash point added without a
+table entry, or an entry no code fires, fails here.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ import re
 from pathlib import Path
 
 import repro.serve
-from repro.serve import MigrationStep
-from tests.test_replica import HANDOFF_STEPS, REPAIR_STEPS
-from tests.test_reshard import CRASH_STEPS
+from repro.serve import CRASH_STEPS, HANDOFF_STEPS, REPAIR_STEPS, MigrationStep
 
 _CALL = re.compile(r"(?<!def )_crash_point\(\s*([^)]*?)\s*\)")
 # The one computed name: ReshardCoordinator._enter's per-step crash point.
@@ -42,3 +43,12 @@ def test_every_crash_point_is_swept():
     found = crash_points_in_source()
     assert "repair.stream" in found and "reshard.backfill:batch" in found
     assert sorted(found - swept) == []
+
+
+def test_every_table_entry_is_fired():
+    tabled = (
+        [f"reshard.{step}" for step in CRASH_STEPS]
+        + list(HANDOFF_STEPS) + list(REPAIR_STEPS)
+    )
+    assert len(tabled) == len(set(tabled))
+    assert sorted(set(tabled) - crash_points_in_source()) == []

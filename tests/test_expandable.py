@@ -74,7 +74,6 @@ class TestNaiveExpandable:
         nf.expand()
         with pytest.raises(NotExpandableError):
             nf.expand()
-        assert not nf.can_expand
 
     def test_deletes_supported(self):
         nf = NaiveExpandableQuotientFilter(6, 8, seed=5)

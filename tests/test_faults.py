@@ -68,12 +68,10 @@ class TestCrashPoints:
         inj = FaultInjector(seed=0)
         inj.maybe_crash("reshard.cutover")  # nothing armed: no raise
         assert inj.crashes == 0
-        assert inj.armed_crash is None
 
     def test_fires_only_at_matching_step(self):
         inj = FaultInjector(seed=0)
         inj.crash_after("reshard.backfill")
-        assert inj.armed_crash == "reshard.backfill"
         inj.maybe_crash("reshard.planned")  # non-matching step passes through
         inj.maybe_crash("reshard.double_write")
         with pytest.raises(SimulatedCrash) as exc:
@@ -85,7 +83,6 @@ class TestCrashPoints:
         inj.crash_after("reshard.verify")
         with pytest.raises(SimulatedCrash):
             inj.maybe_crash("reshard.verify")
-        assert inj.armed_crash is None
         inj.maybe_crash("reshard.verify")  # second pass survives
         assert inj.crashes == 1
 
@@ -116,7 +113,6 @@ class TestCrashPoints:
         with pytest.raises(SimulatedCrash):
             inj.maybe_crash("handoff.replay")
         inj.crash_after("handoff.replay")  # recovery re-arms verbatim
-        assert inj.armed_crash is None
         inj.maybe_crash("handoff.replay")  # replay survives
         assert inj.crashes == 1
 
@@ -181,7 +177,7 @@ class TestFaultyBlockDevice:
         dev.write(("filter", 1), b"\x00" * 32)
         assert dev.read(("filter", 1)) != b"\x00" * 32
         assert dev.corrupted_addresses() == {("filter", 1)}
-        assert dev.fault_stats.bit_flips == 1
+        assert dev.injector.stats.bit_flips == 1
 
     def test_clean_overwrite_clears_corruption(self):
         inj = FaultInjector(seed=1, bit_flip=1.0)
@@ -196,7 +192,7 @@ class TestFaultyBlockDevice:
         dev = FaultyBlockDevice(injector=FaultInjector(seed=4, torn_write=1.0))
         dev.write("a", b"x" * 100)
         assert len(dev.read("a")) < 100
-        assert dev.fault_stats.torn_writes == 1
+        assert dev.injector.stats.torn_writes == 1
         assert ("torn", "a") in dev.fault_log
 
     def test_lost_write_keeps_old_content_and_charges_io(self):
@@ -207,7 +203,7 @@ class TestFaultyBlockDevice:
         dev.write("a", b"new", size=3)
         assert dev.read("a") == b"old"
         assert dev.stats.writes == 2  # the device acked both
-        assert dev.fault_stats.lost_writes == 1
+        assert dev.injector.stats.lost_writes == 1
 
     def test_lost_write_on_fresh_address_leaves_nothing(self):
         dev = FaultyBlockDevice(injector=FaultInjector(seed=6, lost_write=1.0))

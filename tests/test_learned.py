@@ -49,7 +49,6 @@ class TestStackedFilter:
         members, _, cold = setup
         sf = StackedFilter(members, [], epsilon=0.05, seed=1)
         assert all(sf.may_contain(k) for k in members)
-        assert sf.layer_sizes[1] == 0
 
     def test_deeper_stacks_decrease_hot_fpr(self, setup):
         """§2.8: the hierarchy 'exponentially decreases' the FPR on the

@@ -30,6 +30,8 @@ from repro.core.routing import (
     HashRangeRouter,
 )
 from repro.serve.replica import (
+    HANDOFF_STEPS,
+    REPAIR_STEPS,
     AntiEntropyRepairer,
     FailureDetector,
     ReplicatedStore,
@@ -37,16 +39,6 @@ from repro.serve.replica import (
 )
 
 CHAOS_SEEDS = [int(os.environ.get("REPRO_CHAOS_SEED", "0")) + i for i in range(2)]
-
-HANDOFF_STEPS = [
-    "handoff.replay",
-    "handoff.replay:applied",
-    "handoff.replay:batch",
-]
-
-REPAIR_STEPS = [
-    "repair.stream",
-]
 
 
 # -- replica placement -------------------------------------------------------------

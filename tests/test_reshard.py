@@ -24,7 +24,7 @@ from hypothesis.stateful import (
 from repro.common.clock import Answer, SimulatedClock
 from repro.common.faults import FaultInjector, SimulatedCrash
 from repro.common.hashing import hash_to_range
-from repro.common.storage import BlockDevice, NamespacedDevice
+from repro.common.storage import BlockDevice
 from repro.core.concurrent import ShardedFilter
 from repro.core.routing import (
     SHARD_SALT,
@@ -36,6 +36,7 @@ from repro.core.routing import (
 from repro.filters.bloom import BloomFilter
 from repro.obs import use_registry
 from repro.serve import (
+    CRASH_STEPS,
     MigrationStep,
     ReshardCoordinator,
     ShardedStore,
@@ -305,17 +306,6 @@ class TestCoordinator:
 # -- crash chaos: every crash point, recover from the devices alone ----------------
 
 
-CRASH_STEPS = [
-    "planned",
-    "double_write",
-    "backfill",
-    "backfill:batch",
-    "verify",
-    "cutover",
-    "cutover:manifest",
-    "retire",
-    "done",
-]
 CHAOS_SEEDS = [int(os.environ.get("REPRO_CHAOS_SEED", "0")) + i for i in range(2)]
 
 
